@@ -28,8 +28,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("synthesize", "evaluate", "discord")
-# Set-up is timed in this many processes that stop after it, plus the
-# measuring process itself; the median is reported.
+# Set-up is timed in this many processes that stop after it, half of them
+# before the measuring process and half after it, plus the measuring
+# process itself; the median is reported.
 SETUP_PROBES = 4
 # Every run, set-up probes included, must end well inside 180 s.
 DEADLINE_S = 170.0
@@ -95,13 +96,26 @@ def tail(samples: list[float]) -> tuple[float, float]:
     return 100.0 * (n - 10) / n, ordered[n - 11]
 
 
+def upper_decile(samples: list[float]) -> float:
+    """The 90th percentile (inclusive, interpolated); one sample is its own."""
+    if len(samples) == 1:
+        return samples[0]
+    return statistics.quantiles(samples, n=10, method="inclusive")[-1]
+
+
 def end_to_end(workload: str, setups: list[float], result: dict, failed: int, attempted: int):
-    """The JSON metrics, and the summary lines in the workload's own terms."""
+    """The JSON metrics, and the summary lines in the workload's own terms.
+
+    Operations are gated on their 90th percentile, not their median. On a
+    shared host, single-threaded work runs for spells of 10-100 s at
+    0.6-0.8 of its usual time; how much of a one-minute run such spells
+    cover decides its median, while the upper decile stays at the usual
+    speed. The summary lines still give the medians."""
     ops, batches = result["op_s"], result["batch_s"]
     op_ms = 1e3 * statistics.median(ops)
     metrics = {
         "setup_s": {"value": statistics.median(setups), "unit": "s"},
-        "op_ms": {"value": op_ms, "unit": "ms"},
+        "op_p90_ms": {"value": 1e3 * upper_decile(ops), "unit": "ms"},
         "batch_s": {"value": statistics.median(batches), "unit": "s"},
         "peak_rss_mb": {"value": result["peak_rss_mb"], "unit": "MiB"},
     }
@@ -164,16 +178,15 @@ def main(argv=None) -> int:
     tag = f"{args.workload}-seed{args.seed}-trace{args.trace}"
 
     try:
-        setups = []
-        if not args.trace:
-            for _ in range(SETUP_PROBES):
-                setups.append(run_worker(args, ["--setup-only"], deadline)["setup_s"])
+        probes = 0 if args.trace else SETUP_PROBES
+        setups = [run_worker(args, ["--setup-only"], deadline)["setup_s"] for _ in range(probes // 2)]
         extra = [f"--trace-file={out_dir / (tag + '-spans.json')}"] if args.trace else []
         result = run_worker(args, extra, deadline)
+        setups.append(result["setup_s"])
+        setups += [run_worker(args, ["--setup-only"], deadline)["setup_s"] for _ in range(probes - probes // 2)]
     except WorkerError as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 3
-    setups.append(result["setup_s"])
 
     attempted, failed = result["attempted"], result["failed"]
     # Neither the shipped gate cache nor a library source may change.

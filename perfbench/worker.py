@@ -49,6 +49,10 @@ EVALUATE_TOL = 1e-12
 SYNTHESIZE_TOL = 1e-8
 PURE_TOL = 1e-6
 PRODUCT_TOL = 1e-7
+# Trajectory passes per untraced evaluate round. Trajectories of about a
+# second each follow the machine's speed more closely than a 14 s sweep, so
+# they need more samples, spread over the run, for a steady median.
+TRAJECTORY_PASSES = 2
 
 
 class SetupError(Exception):
@@ -193,7 +197,7 @@ class Evaluate:
     OP = "trajectory"
     BATCH = "sweep"
 
-    def __init__(self, seed: int, toy: bool, reference: dict):
+    def __init__(self, seed: int, toy: bool, reference: dict, passes: int = 1):
         self.reference = reference["evaluate"]["toy" if toy else "desk"]
         OUT_DIR.mkdir(exist_ok=True)
         self._scratch = tempfile.TemporaryDirectory(prefix="evaluate-", dir=OUT_DIR)
@@ -227,17 +231,32 @@ class Evaluate:
             raise
         self.config = cfg
         self.noise = cfg.incoherence_ensemble()
-        self.order = [cfg.schemes[i] for i in np.random.default_rng(seed).permutation(len(cfg.schemes))]
+        rng = np.random.default_rng(seed)
+        self.orders = [[cfg.schemes[i] for i in rng.permutation(len(cfg.schemes))] for _ in range(passes)]
 
     def round(self) -> list[Op]:
+        """Each pass runs one trajectory per scheme. With one pass the sweep
+        comes first; with more, half of them run before the sweep and the
+        rest after it, so that trajectories are timed across the whole run."""
         cfg = self.config
+        ideal = harness.ideal_records(cfg)
+        before = len(self.orders) // 2
+        ops = []
+        for order in self.orders[:before]:
+            ops += self._trajectories(order, ideal)
         rows, seconds = _timed(harness.robustness_sweep, cfg, self.gates)
         outputs = {
             "sweep": [[r.scheme, r.error_kind, r.mean_fidelity, r.mean_fidelity_incoherent] for r in rows]
         }
-        ops = [Op("sweep", seconds, self._check(outputs), outputs)]
-        ideal = harness.ideal_records(cfg)
-        for scheme in self.order:
+        ops.append(Op("sweep", seconds, self._check(outputs), outputs))
+        for order in self.orders[before:]:
+            ops += self._trajectories(order, ideal)
+        return ops
+
+    def _trajectories(self, order, ideal) -> list[Op]:
+        cfg = self.config
+        ops = []
+        for scheme in order:
             t0 = time.perf_counter()
             records = harness.run_trajectory(cfg, scheme, self.noise, self.gates)
             rms = harness.rms_deviation(records, ideal, scheme=scheme)
@@ -485,9 +504,12 @@ def main(argv=None) -> int:
         reference = json.load(fh)
     workload_cls = WORKLOADS[args.workload]
     trace = tracer.Tracer() if args.trace else None
+    # A traced run keeps evaluate's round at the unit its call counts are
+    # quoted for: one sweep and one trajectory per scheme.
+    extra = {"passes": 1 if args.trace else TRAJECTORY_PASSES} if workload_cls is Evaluate else {}
     try:
         with trace or contextlib.nullcontext():
-            workload = workload_cls(args.seed, args.toy, reference)
+            workload = workload_cls(args.seed, args.toy, reference, **extra)
     except SetupError as exc:
         print(f"perfbench: {args.workload}: {exc}", file=sys.stderr)
         return 2
