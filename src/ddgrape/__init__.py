@@ -1,7 +1,7 @@
 """Dynamically protected two-qubit gates.
 
-Synthesizes quantum gates with dynamical-decoupling pulses frozen inside a
-gradient-ascent pulse optimizer, then evaluates the protection by simulating
+Synthesizes quantum gates with dynamical-decoupling pulses frozen inside an
+L-BFGS GRAPE pulse optimizer, then evaluates the protection by simulating
 Grover's search (marked-state probability and quantum discord) under coherent
 noise ensembles.
 """
@@ -19,7 +19,6 @@ from ddgrape.nmr import (
     SystemParams,
     evolve_ensemble,
     pseudopure_state,
-    segment_propagator,
     sequence_propagator,
     system_hamiltonian,
 )

@@ -29,10 +29,6 @@ from ddgrape.harness import (
 from ddgrape.nmr import NoiseEnsemble
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    return ExperimentConfig.from_json(path)
-
-
 def _noise_ensemble(config: ExperimentConfig, name: str) -> NoiseEnsemble:
     if name == "none":
         return NoiseEnsemble.identity()
@@ -42,7 +38,7 @@ def _noise_ensemble(config: ExperimentConfig, name: str) -> NoiseEnsemble:
 
 
 def cmd_optimize(args) -> int:
-    config = _load_config(args.config)
+    config = ExperimentConfig.from_json(args.config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     gates = build_protected_gates(config, verbose=not args.quiet)
@@ -52,8 +48,10 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+    config = ExperimentConfig.from_json(args.config)
     noise = _noise_ensemble(config, args.noise)
+    if args.scheme not in config.schemes:
+        raise ValueError(f"scheme {args.scheme!r} is not in the config's schemes {list(config.schemes)}")
     gates = build_protected_gates(config, verbose=False)
     records = run_trajectory(config, args.scheme, noise, gates)
     out = Path(config.output_dir)
@@ -78,7 +76,7 @@ def cmd_discord(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+    config = ExperimentConfig.from_json(args.config)
     gates = build_protected_gates(config, verbose=False)
     rows = robustness_sweep(config, gates)
     out = Path(config.output_dir)
@@ -90,7 +88,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = _load_config(args.config)
+    config = ExperimentConfig.from_json(args.config)
     noise = _noise_ensemble(config, args.noise)
     gates = build_protected_gates(config, verbose=False)
     ideal = ideal_records(config)
@@ -151,7 +149,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, FileNotFoundError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -75,7 +75,9 @@ def batched_unitary_exp(generators: np.ndarray, scale: float = 1.0) -> np.ndarra
 
 
 def check_density_matrix(rho: np.ndarray) -> None:
-    """Enforce Hermiticity, unit trace, and positivity up to round-off."""
+    """Enforce finite entries, Hermiticity, unit trace, and positivity up to round-off."""
+    if not np.all(np.isfinite(rho)):
+        raise InvalidStateError("density matrix has a non-finite entry")
     if np.max(np.abs(rho - dagger(rho))) > HERMITICITY_TOL:
         raise InvalidStateError("density matrix is not Hermitian within 1e-12")
     if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:

@@ -23,7 +23,6 @@ class DDScheme:
     flip_deg: float
     phases: tuple[str, ...]
     spacing: int
-    placement: str = "middle"
 
     def __post_init__(self):
         if not self.phases:
@@ -32,8 +31,6 @@ class DDScheme:
             raise ValueError(f"phases must be 'x' or 'y', got {self.phases}")
         if self.spacing < 1:
             raise ValueError("spacing must be >= 1")
-        if self.placement != "middle":
-            raise ValueError(f"unsupported placement {self.placement!r}")
 
     @staticmethod
     def parse(text: str) -> "DDScheme":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ddgrape.core import entropy_2x2, partial_trace, von_neumann_entropy
+from ddgrape.core import check_density_matrix, entropy_2x2, partial_trace, von_neumann_entropy
 
 LN2 = math.log(2.0)
 
@@ -222,4 +222,6 @@ def load_state(path) -> np.ndarray:
             entries.extend(complex(tok) for tok in line.split())
     if len(entries) != 16:
         raise ValueError(f"state file must contain 16 entries, found {len(entries)}")
-    return np.array(entries, dtype=complex).reshape(4, 4)
+    rho = np.array(entries, dtype=complex).reshape(4, 4)
+    check_density_matrix(rho)
+    return rho

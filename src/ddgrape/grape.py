@@ -1,4 +1,4 @@
-"""Gradient-ascent pulse optimization with frozen DD segments.
+"""L-BFGS GRAPE pulse optimization with frozen DD segments.
 
 Fidelity convention is |Tr(U_T^dag U_P)| / N, which is invariant under a
 global phase of either unitary. The gradient is exact: each segment
@@ -22,6 +22,7 @@ from ddgrape.nmr import (
     NoiseRealization,
     PulseSequence,
     SystemParams,
+    ordered_product,
     segment_hamiltonians,
 )
 
@@ -40,13 +41,8 @@ class TargetGate:
 class OptimizationConfig:
     max_iterations: int = 2000
     fidelity_goal: float = 0.99
-    initial_step: float = 0.0  # rad/s per unit gradient; 0 = scale from first gradient
-    step_grow: float = 2.0
-    step_shrink: float = 0.5
     rfi_ensemble: NoiseEnsemble = field(default_factory=NoiseEnsemble.identity)
-    seed: int = 0
     omega_max: float = 2.0 * math.pi * 1.0e5
-    method: str = "lbfgs"  # "lbfgs" (quasi-Newton) or "ascent" (adaptive steepest ascent)
     # Optional tighter per-component bound for the non-frozen amplitudes
     # (shaped low-power segments vs hard DD pulses); None = omega_max only.
     free_bound: float | None = None
@@ -54,17 +50,12 @@ class OptimizationConfig:
     def __post_init__(self):
         if not 0.0 < self.fidelity_goal <= 1.0:
             raise ValueError("fidelity_goal must be in (0, 1]")
-        if self.step_grow <= 0 or self.step_shrink <= 0:
-            raise ValueError("step factors must be > 0")
-        if self.method not in ("lbfgs", "ascent"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
 class FidelityReport:
     fidelity: float
     per_realization: list
-    mean_over_iterates: float | None = None
 
 
 def gate_fidelity(u_p: np.ndarray, u_t: np.ndarray) -> float:
@@ -86,10 +77,7 @@ def robust_fidelity(
     mean = 0.0
     for real in ensemble.realizations:
         us = batched_unitary_exp(segment_hamiltonians(pulse, params, real), pulse.dt)
-        total = us[0]
-        for k in range(1, us.shape[0]):
-            total = us[k] @ total
-        f = gate_fidelity(total, target.unitary)
+        f = gate_fidelity(ordered_product(us), target.unitary)
         per.append((real, f))
         mean += real.weight * f
     return FidelityReport(fidelity=mean, per_realization=per)
@@ -188,17 +176,6 @@ def _ensemble_fidelity_and_gradient(pulse, target, params, ensemble):
     return mean_f, gx, gy
 
 
-def _ensemble_fidelity(pulse, target, params, ensemble):
-    mean_f = 0.0
-    for real in ensemble.realizations:
-        us = batched_unitary_exp(segment_hamiltonians(pulse, params, real), pulse.dt)
-        total = us[0]
-        for k in range(1, us.shape[0]):
-            total = us[k] @ total
-        mean_f += real.weight * gate_fidelity(total, target.unitary)
-    return mean_f
-
-
 def clip_amplitudes(pulse: PulseSequence, free_bound: float | None = None) -> PulseSequence:
     """Rescale non-frozen segments whose amplitude norm exceeds the bound.
 
@@ -235,46 +212,33 @@ def optimize(
 ):
     """Maximize the ensemble-mean fidelity over the non-frozen amplitudes.
 
-    The default engine is L-BFGS over the free amplitude vector; the
-    "ascent" engine is plain steepest ascent with an adaptive step (grow on
-    improvement, shrink and retry on decrease). Both are deterministic,
-    produce a non-decreasing accepted-iterate fidelity log, never touch
-    frozen segments, and keep every amplitude within omega_max. Returns
-    (pulse, FidelityReport, log of (iteration, mean_fidelity, step)).
+    L-BFGS over the free amplitude vector with the exact gradient. The run
+    is deterministic, produces a non-decreasing accepted-iterate fidelity
+    log, never touches frozen segments, and keeps every amplitude within
+    omega_max. Returns (pulse, FidelityReport, log of (iteration,
+    mean_fidelity, step)); the step column is always 0.
     """
     if np.any(np.hypot(initial.omega_x, initial.omega_y)[initial.frozen] > initial.omega_max * (1 + 1e-12)):
         raise ValueError("initial pulse violates omega_max on frozen segments")
 
     pulse = clip_amplitudes(initial.copy(), config.free_bound)
     ensemble = config.rfi_ensemble
-    log = []
+    report = robust_fidelity(pulse, target, params, ensemble)
+    log = [(0, report.fidelity, 0.0)]
+    if report.fidelity >= config.fidelity_goal:
+        return pulse, report, log
 
-    fidelity = _ensemble_fidelity(pulse, target, params, ensemble)
-    log.append((0, fidelity, 0.0))
-    if fidelity >= config.fidelity_goal:
-        return pulse, robust_fidelity(pulse, target, params, ensemble), log
-
-    if config.method == "lbfgs":
-        pulse, log = _optimize_lbfgs(pulse, target, params, config, log)
-    else:
-        pulse, log = _optimize_ascent(pulse, target, params, config, log)
-    return pulse, robust_fidelity(pulse, target, params, ensemble), log
-
-
-def _optimize_lbfgs(pulse, target, params, config, log):
     from scipy.optimize import minimize
 
-    ensemble = config.rfi_ensemble
     free = ~pulse.frozen
     n_free = int(np.count_nonzero(free))
-    base = pulse.copy()
 
     def expand(x):
-        ox = base.omega_x.copy()
-        oy = base.omega_y.copy()
+        ox = pulse.omega_x.copy()
+        oy = pulse.omega_y.copy()
         ox[free] = x[:n_free]
         oy[free] = x[n_free:]
-        return base.with_amplitudes(ox, oy)
+        return pulse.with_amplitudes(ox, oy)
 
     def fun(x):
         p = expand(x)
@@ -289,10 +253,10 @@ def _optimize_lbfgs(pulse, target, params, config, log):
     # be returned the moment it crosses a 0.99 goal).
     refine_window = 25
     refine_tol = 1e-4
-    state = {"best": log[-1][1], "it": 0, "mark": None}
+    state = {"best": report.fidelity, "it": 0, "mark": None}
 
     def callback(x):
-        f = _ensemble_fidelity(expand(x), target, params, ensemble)
+        f = robust_fidelity(expand(x), target, params, ensemble).fidelity
         state["it"] += 1
         if f >= state["best"]:
             state["best"] = f
@@ -326,48 +290,14 @@ def _optimize_lbfgs(pulse, target, params, config, log):
             options={"maxiter": config.max_iterations, "ftol": 1e-14, "gtol": 1e-14},
         )
         x_final = res.x
-        if "x" in state and _ensemble_fidelity(expand(res.x), target, params, ensemble) < state["best"]:
+        if "x" in state and robust_fidelity(expand(res.x), target, params, ensemble).fidelity < state["best"]:
             x_final = state["x"]
     except _GoalReached:
         x_final = state["x"]
     out = clip_amplitudes(expand(x_final), config.free_bound)
     # The L-BFGS terminal point can differ from the best logged iterate only
     # by line-search round-off; keep it if it is at least as good.
-    f_out = _ensemble_fidelity(out, target, params, ensemble)
+    f_out = robust_fidelity(out, target, params, ensemble).fidelity
     if f_out + 1e-12 < state["best"]:
         log.append((state["it"] + 1, f_out, 0.0))
-    return out, log
-
-
-def _optimize_ascent(pulse, target, params, config, log):
-    ensemble = config.rfi_ensemble
-    fidelity = log[-1][1]
-    _, gx, gy = _ensemble_fidelity_and_gradient(pulse, target, params, ensemble)
-
-    grad_norm = max(np.max(np.abs(gx)), np.max(np.abs(gy)), 1e-300)
-    if config.initial_step > 0:
-        step = config.initial_step
-    else:
-        # First update moves the largest amplitude by ~2% of omega_max.
-        step = 0.02 * pulse.omega_max / grad_norm
-    min_step = 1e-6 * step
-
-    for it in range(1, config.max_iterations + 1):
-        improved = False
-        while step >= min_step:
-            cand = clip_amplitudes(
-                pulse.with_amplitudes(pulse.omega_x + step * gx, pulse.omega_y + step * gy),
-                config.free_bound,
-            )
-            f_new = _ensemble_fidelity(cand, target, params, ensemble)
-            if f_new > fidelity:
-                pulse, fidelity = cand, f_new
-                step *= config.step_grow
-                improved = True
-                break
-            step *= config.step_shrink
-        log.append((it, fidelity, step))
-        if not improved or fidelity >= config.fidelity_goal:
-            break
-        _, gx, gy = _ensemble_fidelity_and_gradient(pulse, target, params, ensemble)
-    return pulse, log
+    return out, robust_fidelity(out, target, params, ensemble), log

@@ -9,6 +9,7 @@ given config and seed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -39,10 +40,10 @@ from ddgrape.grover import (
     oracle_unitary,
 )
 from ddgrape.nmr import (
-    IDENTITY_NOISE,
     NoiseEnsemble,
     PulseSequence,
     SystemParams,
+    evolve_ensemble,
     load_pulse,
     pseudopure_state,
     save_pulse,
@@ -111,48 +112,51 @@ class ExperimentConfig:
         return NoiseEnsemble.incoherence(lo, hi, self.incoherence_points)
 
     def to_dict(self) -> dict:
-        d = {
-            "system": {
-                "offset1": self.system.offset1,
-                "offset2": self.system.offset2,
-                "coupling": self.system.coupling,
-            },
-            "dt": self.dt,
-            "n_segments_per_gate": self.n_segments_per_gate,
-            "schemes": list(self.schemes),
-            "epsilon": self.epsilon,
-            "iterations": self.iterations,
-            "marked": self.marked,
-            "rfi_scales": list(self.rfi_scales),
-            "incoherence_range": list(self.incoherence_range),
-            "incoherence_points": self.incoherence_points,
-            "flip_scales": list(self.flip_scales),
-            "phase_offsets": list(self.phase_offsets),
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "omega_max": self.omega_max,
-            "free_amplitude_bound": self.free_amplitude_bound,
-            "amplitude_fraction": self.amplitude_fraction,
-            "fidelity_goal": self.fidelity_goal,
-            "max_iterations": self.max_iterations,
-        }
-        return d
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        kwargs = dict(d)
-        if "system" in kwargs:
-            s = kwargs["system"]
-            kwargs["system"] = SystemParams(s["offset1"], s["offset2"], s["coupling"])
-        for key in ("schemes", "rfi_scales", "flip_scales", "phase_offsets", "incoherence_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+        """Inverse of to_dict. Keys left out keep their defaults; an unknown,
+        missing or mistyped key raises a ValueError that names it."""
+        if not isinstance(d, dict):
+            raise ValueError("config must be a JSON object")
+        defaults = ExperimentConfig()
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        kwargs = {}
+        for key, value in d.items():
+            if key not in names:
+                raise ValueError(f"unknown config key {key!r}")
+            kwargs[key] = _parse_value(key, value, getattr(defaults, key))
         return ExperimentConfig(**kwargs)
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
         with open(path) as fh:
             return ExperimentConfig.from_dict(json.load(fh))
+
+
+def _parse_value(key: str, value, default):
+    """`value` checked against the type of the field's default; lists become
+    tuples and the system object becomes SystemParams."""
+    if isinstance(default, SystemParams):
+        if not isinstance(value, dict):
+            raise ValueError(f"config key {key!r} must be an object")
+        names = [f.name for f in dataclasses.fields(SystemParams)]
+        unknown = sorted(set(value) - set(names))
+        if unknown:
+            raise ValueError(f"unknown config key '{key}.{unknown[0]}'")
+        missing = [n for n in names if n not in value]
+        if missing:
+            raise ValueError(f"config key {key!r} is missing {missing[0]!r}")
+        return SystemParams(*(_parse_value(f"{key}.{n}", value[n], getattr(default, n)) for n in names))
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config key {key!r} must be a list")
+        return tuple(_parse_value(f"{key}[{i}]", v, default[0]) for i, v in enumerate(value))
+    expected = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise ValueError(f"config key {key!r} must be of type {type(default).__name__}")
+    return value
 
 
 @dataclass
@@ -191,13 +195,6 @@ def _pulse_path(config: ExperimentConfig, scheme: str, target_label: str) -> Pat
     return base / f"{_scheme_tag(scheme)}__{target_label}__seed{config.seed}.txt"
 
 
-def _target_gates(config: ExperimentConfig):
-    return (
-        TargetGate(oracle_unitary(config.marked), "uw"),
-        TargetGate(diffusion_unitary(), "ud"),
-    )
-
-
 def _build_one(config: ExperimentConfig, scheme: str, target: TargetGate, seed: int):
     initial = random_initial_pulse(
         config.n_segments_per_gate, config.dt, config.omega_max, config.amplitude_fraction, seed
@@ -209,7 +206,6 @@ def _build_one(config: ExperimentConfig, scheme: str, target: TargetGate, seed: 
         max_iterations=config.max_iterations,
         fidelity_goal=config.fidelity_goal,
         rfi_ensemble=config.rfi_ensemble(),
-        seed=seed,
         omega_max=config.omega_max,
         free_bound=config.free_amplitude_bound,
     )
@@ -230,7 +226,7 @@ def build_protected_gates(
     incoherence ensemble. A gate that misses the goal on every attempt
     keeps its best pulse and is recorded with a warning flag.
     """
-    targets = _target_gates(config)
+    targets = (TargetGate(oracle_unitary(config.marked), "uw"), TargetGate(diffusion_unitary(), "ud"))
     gates: dict[str, GateSet] = {}
     rfi = config.rfi_ensemble()
     incoherence = config.incoherence_ensemble()
@@ -290,83 +286,46 @@ def run_trajectory(
     as an ideal unitary, and each oracle/diffusion stage evolves every noise
     realization through the corresponding pulse (quasi-static noise, fixed
     per member across all gates). Records marked-state probability, discord,
-    and epsilon-scaled discord after every stage.
+    and epsilon-scaled discord after every stage. With ideal_gates the run
+    has one noiseless member that applies the exact oracle and diffusion.
     """
     spec = GroverSpec(config.marked, config.iterations)
-    eps = config.epsilon
 
     if ideal_gates:
-        stage_unitaries = {"W": oracle_unitary(config.marked), "D": diffusion_unitary()}
-        members = [(IDENTITY_NOISE, None, None)]
+        weights = [1.0]
+        uw = [oracle_unitary(config.marked)]
+        ud = [diffusion_unitary()]
     else:
         if gates is None:
             raise RuntimeError("gates not built; run build_protected_gates (CLI: ddgrape optimize) first")
         gate_set = gates[scheme]
         # Per-member gate propagators, computed once and reused each round.
-        members = [
-            (
-                real,
-                sequence_propagator(gate_set.pulse_w, config.system, real),
-                sequence_propagator(gate_set.pulse_d, config.system, real),
-            )
-            for real in noise.realizations
-        ]
+        weights = [real.weight for real in noise.realizations]
+        uw = [sequence_propagator(gate_set.pulse_w, config.system, real) for real in noise.realizations]
+        ud = [sequence_propagator(gate_set.pulse_d, config.system, real) for real in noise.realizations]
 
-    states = [pseudopure_state(eps) for _ in members]
-    records = []
-
-    def emit(label, rho):
-        d = quantum_discord(rho, epsilon=eps)
-        records.append(
-            TrajectoryRecord(
-                stage=label,
-                marked_prob=marked_probability(rho, config.marked),
-                discord=d.discord,
-                scaled_discord=d.scaled_discord if d.scaled_discord is not None else d.discord,
-            )
-        )
-
-    def average():
-        if ideal_gates:
-            return states[0]
-        out = np.zeros((4, 4), dtype=complex)
-        for (real, _, _), rho in zip(members, states):
-            out += real.weight * rho
-        return out
-
-    emit(StageLabel("PPS"), average())
-    states = [HADAMARD2 @ rho @ HADAMARD2.conj().T for rho in states]
-    emit(StageLabel("H"), average())
-
-    for r in range(1, spec.iterations + 1):
-        for kind in ("W", "D"):
-            new_states = []
-            for (real, uw, ud), rho in zip(members, states):
-                if ideal_gates:
-                    u = stage_unitaries[kind]
-                else:
-                    u = uw if kind == "W" else ud
-                new_states.append(u @ rho @ u.conj().T)
-            states = new_states
-            emit(StageLabel(kind, r), average())
-    return records
+    stages = [[HADAMARD2] * len(weights)] + [uw, ud] * spec.iterations
+    labels = [StageLabel("PPS"), StageLabel("H")]
+    labels += [StageLabel(kind, r) for r in range(1, spec.iterations + 1) for kind in ("W", "D")]
+    states = evolve_ensemble(pseudopure_state(config.epsilon), weights, stages)
+    return [_record(config, label, rho) for label, rho in zip(labels, states)]
 
 
 def ideal_records(config: ExperimentConfig):
     """Analytic trajectory in TrajectoryRecord form (reference for RMS)."""
     spec = GroverSpec(config.marked, config.iterations)
-    out = []
-    for label, rho in ideal_trajectory(spec, epsilon=config.epsilon):
-        d = quantum_discord(rho, epsilon=config.epsilon)
-        out.append(
-            TrajectoryRecord(
-                stage=label,
-                marked_prob=marked_probability(rho, config.marked),
-                discord=d.discord,
-                scaled_discord=d.scaled_discord if d.scaled_discord is not None else d.discord,
-            )
-        )
-    return out
+    return [_record(config, label, rho) for label, rho in ideal_trajectory(spec, epsilon=config.epsilon)]
+
+
+def _record(config: ExperimentConfig, label: StageLabel, rho: np.ndarray) -> TrajectoryRecord:
+    """Marked-state probability and discord of one stage's state."""
+    d = quantum_discord(rho, epsilon=config.epsilon)
+    return TrajectoryRecord(
+        stage=label,
+        marked_prob=marked_probability(rho, config.marked),
+        discord=d.discord,
+        scaled_discord=d.scaled_discord if d.scaled_discord is not None else d.discord,
+    )
 
 
 def rms_deviation(records, ideal, normalize: bool = True, scheme: str = "") -> RmsReport:
@@ -476,10 +435,10 @@ def write_gates_csv(path, gates) -> None:
             fh.write(f"{scheme},ud,{gs.report_d.fidelity!r},{1 if gs.warning else 0}\n")
 
 
-def write_manifest(config: ExperimentConfig, path=None) -> None:
+def write_manifest(config: ExperimentConfig) -> None:
     import ddgrape
 
-    out = Path(path) if path else Path(config.output_dir) / "run_manifest.json"
+    out = Path(config.output_dir) / "run_manifest.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config": config.to_dict(),

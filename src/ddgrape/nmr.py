@@ -127,20 +127,6 @@ class NoiseEnsemble:
         return NoiseEnsemble(tuple(members))
 
 
-class ControlSegment:
-    """View of one piecewise-constant control segment."""
-
-    __slots__ = ("omega_x", "omega_y", "frozen")
-
-    def __init__(self, omega_x: float, omega_y: float, frozen: bool):
-        self.omega_x = omega_x
-        self.omega_y = omega_y
-        self.frozen = frozen
-
-    def __repr__(self):
-        return f"ControlSegment({self.omega_x:.6g}, {self.omega_y:.6g}, frozen={self.frozen})"
-
-
 @dataclass
 class PulseSequence:
     """Piecewise-constant control amplitudes with a frozen-segment mask.
@@ -169,17 +155,6 @@ class PulseSequence:
     @property
     def n_segments(self) -> int:
         return int(self.omega_x.size)
-
-    @property
-    def duration(self) -> float:
-        return self.n_segments * self.dt
-
-    @property
-    def segments(self) -> list[ControlSegment]:
-        return [
-            ControlSegment(float(x), float(y), bool(f))
-            for x, y, f in zip(self.omega_x, self.omega_y, self.frozen)
-        ]
 
     @staticmethod
     def zeros(n_segments: int, dt: float, omega_max: float) -> "PulseSequence":
@@ -234,57 +209,43 @@ def segment_hamiltonians(
     return hs[None, :, :] + ox[:, None, None] * FX[None, :, :] + oy[:, None, None] * FY[None, :, :]
 
 
-def segment_propagator(
-    params: SystemParams,
-    seg: ControlSegment,
-    dt: float,
-    noise: NoiseRealization = IDENTITY_NOISE,
-) -> np.ndarray:
-    """exp(-i (H_S' + H_C') dt) for one segment under one noise realization."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    hs = system_hamiltonian(shifted_params(params, noise))
-    ox, oy = apply_noise_to_amplitudes(seg.omega_x, seg.omega_y, noise)
-    h = hs + control_hamiltonian(float(ox), float(oy))
-    return batched_unitary_exp(h[None, :, :], dt)[0]
-
-
-def sequence_propagator(
-    pulse: PulseSequence, params: SystemParams, noise: NoiseRealization = IDENTITY_NOISE
-) -> np.ndarray:
-    """Ordered product u_K ... u_2 u_1 (segment 1 acts first)."""
-    us = batched_unitary_exp(segment_hamiltonians(pulse, params, noise), pulse.dt)
+def ordered_product(us: np.ndarray) -> np.ndarray:
+    """u_K ... u_2 u_1 of a (K, 4, 4) stack (u_1 acts first)."""
     total = us[0]
     for k in range(1, us.shape[0]):
         total = us[k] @ total
     return total
 
 
-def evolve_ensemble(
-    rho0: np.ndarray,
-    pulses,
-    params: SystemParams,
-    ensemble: NoiseEnsemble,
-    record_after_each: bool = True,
-):
-    """Evolve rho0 through the pulse list under quasi-static ensemble noise.
+def sequence_propagator(
+    pulse: PulseSequence, params: SystemParams, noise: NoiseRealization = IDENTITY_NOISE
+) -> np.ndarray:
+    """Ordered product u_K ... u_2 u_1 (segment 1 acts first)."""
+    return ordered_product(batched_unitary_exp(segment_hamiltonians(pulse, params, noise), pulse.dt))
 
-    Each realization evolves coherently through ALL pulses with its fixed
-    noise parameters; the recorded state after each pulse is the
-    weight-averaged density matrix across realizations. The accumulation
-    order over realizations is fixed so results are deterministic.
+
+def evolve_ensemble(rho0: np.ndarray, weights, stages) -> list[np.ndarray]:
+    """Weight-averaged states of an ensemble evolved stage by stage.
+
+    Every member starts in rho0; stage s conjugates member m's state by
+    stages[s][m]. A member keeps its own propagators through all stages
+    (quasi-static noise). Returns the weighted mean state before the first
+    stage and after each stage, accumulated in member order so results are
+    deterministic.
     """
-    n_stages = len(pulses)
-    averaged = [np.zeros((4, 4), dtype=complex) for _ in range(n_stages)]
-    for real in ensemble.realizations:
-        rho = np.array(rho0, dtype=complex)
-        for i, pulse in enumerate(pulses):
-            u = sequence_propagator(pulse, params, real)
-            rho = u @ rho @ u.conj().T
-            averaged[i] += real.weight * rho
-    if record_after_each:
-        return averaged
-    return [averaged[-1]] if averaged else []
+
+    def average(states):
+        out = np.zeros((4, 4), dtype=complex)
+        for w, rho in zip(weights, states):
+            out += w * rho
+        return out
+
+    states = [np.array(rho0, dtype=complex) for _ in weights]
+    averaged = [average(states)]
+    for us in stages:
+        states = [u @ rho @ u.conj().T for u, rho in zip(us, states)]
+        averaged.append(average(states))
+    return averaged
 
 
 def pseudopure_state(epsilon: float) -> np.ndarray:

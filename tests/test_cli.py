@@ -1,12 +1,18 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import toy_config
 from ddgrape.cli import main
 from ddgrape.discord import save_state
+from ddgrape.harness import ExperimentConfig
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +120,128 @@ def test_simulate_rerun_is_byte_identical(toy_workspace):
     first = open(path, "rb").read()
     assert main(["simulate", "--config", str(config_path), "--scheme", "none"]) == 0
     assert open(path, "rb").read() == first
+
+
+def test_state_that_is_not_a_density_matrix_exits_2(tmp_path, capsys):
+    path = tmp_path / "trace2.txt"
+    save_state(path, np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex))
+    assert main(["discord", "--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "trace" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [({"bogus_key": 1}, "bogus_key"), ({"system": {"offset1": 1.0}}, "offset2")],
+)
+def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+
+
+def test_simulate_unknown_scheme_exits_2_before_any_build(tmp_path, capsys):
+    cfg = toy_config(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert main(["simulate", "--config", str(path), "--scheme", "xy:90:10"]) == 2
+    assert "'xy:90:10'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the two file parsers: any input ends in an exit code, never in a
+# traceback.
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+config_keys = st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)] + ["bogus_key"])
+config_values = (
+    json_values
+    | st.floats(-1e6, 1e6)
+    | st.lists(st.floats(-2.0, 2.0), max_size=4)
+    | st.lists(st.sampled_from(["none", "xy:90:100", "xx:180:20", "x:0:0", "xy:90", "z:90:10"]), max_size=3)
+    | st.fixed_dictionaries(
+        {}, optional={k: st.floats() | st.integers() | st.text(max_size=3) for k in ("offset1", "offset2", "coupling")}
+    )
+)
+config_texts = (
+    st.dictionaries(config_keys, config_values, max_size=6).map(json.dumps)
+    | json_values.map(json.dumps)
+    | st.text(max_size=40)
+)
+
+state_tokens = (
+    st.floats().map(repr)
+    | st.complex_numbers().map(str)
+    | st.sampled_from(["0", "1", "0.25", "0.5+0.5j", "nan", "inf", "j", "#", "1e999"])
+    | st.text(max_size=4)
+)
+state_texts = st.lists(state_tokens, max_size=20).map(" ".join) | st.text(max_size=60)
+
+
+@st.composite
+def nudged_density_matrices(draw):
+    """A valid state of any rank plus a nudge that moves its trace by nudge/2:
+    within the 1e-10 trace tolerance for nudge 0 and 1e-12, beyond it else."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, 4))
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    nudge = draw(st.sampled_from([0.0, 1e-12, 1e-9, -1e-3, math.nan]))
+    return rho + nudge * np.diag([1.0, -1.0, 0.5, 0.0]), nudge
+
+
+def _exit_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert code == 0 or err.startswith("error:")
+    assert "Traceback" not in err
+    return code
+
+
+@FUZZ
+@given(text=state_texts)
+def test_fuzz_state_file_text(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz_state.txt"
+    path.write_text(text, encoding="utf-8")
+    _exit_code(["discord", "--state", str(path)])
+
+
+@FUZZ
+@given(data=st.binary(max_size=60))
+def test_fuzz_state_file_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_state.bin"
+    path.write_bytes(data)
+    _exit_code(["discord", "--state", str(path)])
+
+
+@FUZZ
+@given(case=nudged_density_matrices())
+def test_fuzz_state_file_near_density_matrices(tmp_path_factory, case):
+    rho, nudge = case
+    path = tmp_path_factory.getbasetemp() / "fuzz_rho.txt"
+    save_state(path, rho)
+    assert _exit_code(["discord", "--state", str(path)]) == (0 if nudge in (0.0, 1e-12) else 2)
+
+
+@FUZZ
+@given(text=config_texts)
+def test_fuzz_config_file(tmp_path_factory, text):
+    # The scheme is never a valid descriptor, so a config that loads ends in
+    # the scheme check (exit 2) before any gate is built.
+    path = tmp_path_factory.getbasetemp() / "fuzz_config.json"
+    path.write_text(text, encoding="utf-8")
+    assert _exit_code(["simulate", "--config", str(path), "--scheme", "not-a-scheme"]) == 2

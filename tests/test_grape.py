@@ -118,12 +118,11 @@ def test_optimize_returns_immediately_when_target_met():
     assert np.array_equal(out.omega_x, pulse.omega_x)
 
 
-@pytest.mark.parametrize("method", ["lbfgs", "ascent"])
-def test_optimize_reaches_collective_pi_target(method):
+def test_optimize_reaches_collective_pi_target():
     params = SystemParams(0, 0, 0)
     target = TargetGate(unitary_exp(collective_operator("x"), math.pi))
     pulse = random_initial_pulse(50, 5.1e-6, OMEGA_MAX, 0.05, 1)
-    cfg = OptimizationConfig(max_iterations=500, fidelity_goal=0.999, method=method)
+    cfg = OptimizationConfig(max_iterations=500, fidelity_goal=0.999)
     out, report, log = optimize(pulse, target, params, cfg)
     assert report.fidelity >= 0.999
     assert len(log) - 1 <= 500

@@ -5,7 +5,6 @@ import pytest
 
 from ddgrape.core import ID4, collective_operator, is_unitary, unitary_exp
 from ddgrape.nmr import (
-    ControlSegment,
     NoiseEnsemble,
     NoiseRealization,
     PulseSequence,
@@ -15,7 +14,6 @@ from ddgrape.nmr import (
     load_pulse,
     pseudopure_state,
     save_pulse,
-    segment_propagator,
     sequence_propagator,
     system_hamiltonian,
 )
@@ -38,16 +36,18 @@ def test_system_hamiltonian_symmetric_offsets():
     assert np.allclose(np.diag(h).real / TWO_PI, [-100, 0, 0, 100], atol=1e-12)
 
 
+def _one_segment(omega_x, omega_y, dt):
+    return PulseSequence(np.array([omega_x]), np.array([omega_y]), np.zeros(1, bool), dt, 1e6)
+
+
 def test_segment_propagator_trivial_identity():
-    seg = ControlSegment(0.0, 0.0, False)
-    u = segment_propagator(SystemParams(0, 0, 0), seg, 1e-5)
+    u = sequence_propagator(_one_segment(0.0, 0.0, 1e-5), SystemParams(0, 0, 0))
     assert np.allclose(u, ID4, atol=1e-14)
 
 
 def test_segment_propagator_collective_pi_pulse():
     dt = 5.1e-6
-    seg = ControlSegment(math.pi / dt, 0.0, False)
-    u = segment_propagator(SystemParams(0, 0, 0), seg, dt)
+    u = sequence_propagator(_one_segment(math.pi / dt, 0.0, dt), SystemParams(0, 0, 0))
     expected = unitary_exp(collective_operator("x"), math.pi)
     assert np.max(np.abs(u - expected)) < 1e-12
 
@@ -59,7 +59,7 @@ def test_segment_propagator_phase_noise_matches_rotated_control():
     phi = 0.37
     ox, oy = 2e4, -1.3e4
     noise = NoiseRealization(phase_offset=phi)
-    u = segment_propagator(params, ControlSegment(ox, oy, False), dt, noise)
+    u = sequence_propagator(_one_segment(ox, oy, dt), params, noise)
     rx = ox * math.cos(phi) - oy * math.sin(phi)
     ry = ox * math.sin(phi) + oy * math.cos(phi)
     h = system_hamiltonian(params) + control_hamiltonian(rx, ry)
@@ -76,8 +76,8 @@ def test_segment_propagator_unitary_under_noise():
             flip_scale=rng.uniform(0.9, 1.1),
             phase_offset=rng.uniform(-0.5, 0.5),
         )
-        seg = ControlSegment(rng.uniform(-1e5, 1e5), rng.uniform(-1e5, 1e5), False)
-        assert is_unitary(segment_propagator(params, seg, 5.1e-6, noise))
+        pulse = _one_segment(rng.uniform(-1e5, 1e5), rng.uniform(-1e5, 1e5), 5.1e-6)
+        assert is_unitary(sequence_propagator(pulse, params, noise))
 
 
 def test_sequence_propagator_identity_and_commuting():
@@ -98,11 +98,19 @@ def test_sequence_propagator_against_bruteforce_product():
     pulse = PulseSequence(
         rng.uniform(-1e5, 1e5, 20), rng.uniform(-1e5, 1e5, 20), np.zeros(20, bool), 5.1e-6, 2e5
     )
-    # independent left-multiplication loop over scalar segment propagators
+    # independent left-multiplication loop over single-matrix exponentials
     expected = ID4.copy()
-    for seg in pulse.segments:
-        expected = segment_propagator(params, seg, pulse.dt) @ expected
+    for ox, oy in zip(pulse.omega_x, pulse.omega_y):
+        h = system_hamiltonian(params) + control_hamiltonian(ox, oy)
+        expected = unitary_exp(h, pulse.dt) @ expected
     assert np.max(np.abs(sequence_propagator(pulse, params) - expected)) < 1e-10
+
+
+def _evolve(rho0, pulses, params, ensemble):
+    """evolve_ensemble with each member's propagator for every pulse."""
+    weights = [real.weight for real in ensemble.realizations]
+    stages = [[sequence_propagator(p, params, real) for real in ensemble.realizations] for p in pulses]
+    return evolve_ensemble(rho0, weights, stages)
 
 
 def test_evolve_ensemble_identity_reduces_to_conjugation():
@@ -112,9 +120,11 @@ def test_evolve_ensemble_identity_reduces_to_conjugation():
         rng.uniform(-5e4, 5e4, 10), rng.uniform(-5e4, 5e4, 10), np.zeros(10, bool), 5.1e-6, 2e5
     )
     rho0 = pseudopure_state(1.0)
-    out = evolve_ensemble(rho0, [pulse], params, NoiseEnsemble.identity())
+    out = _evolve(rho0, [pulse], params, NoiseEnsemble.identity())
     u = sequence_propagator(pulse, params)
-    assert np.max(np.abs(out[0] - u @ rho0 @ u.conj().T)) < 1e-10
+    assert len(out) == 2
+    assert np.array_equal(out[0], rho0)
+    assert np.max(np.abs(out[1] - u @ rho0 @ u.conj().T)) < 1e-10
 
 
 def _plus_zero_state():
@@ -132,7 +142,7 @@ def test_evolve_ensemble_symmetric_offsets_give_real_coherence():
     ens = NoiseEnsemble(
         (NoiseRealization(offset_shift=delta, weight=0.5), NoiseRealization(offset_shift=-delta, weight=0.5))
     )
-    out = evolve_ensemble(_plus_zero_state(), [pulse], params, ens)[0]
+    out = _evolve(_plus_zero_state(), [pulse], params, ens)[-1]
     # oracle: average of conjugate phases e^{+-i 2 pi delta t} is cos(2 pi delta t)
     assert abs(out[0, 2].imag) < 1e-12
     assert out[0, 2].real == pytest.approx(0.5 * math.cos(TWO_PI * delta * t), abs=1e-12)
@@ -143,7 +153,7 @@ def test_evolve_ensemble_incoherence_grid_dephasing_envelope():
     t = 20e-3
     pulse = PulseSequence.zeros(1, t, 1e6)
     ens = NoiseEnsemble.incoherence(-10, 10, 21)
-    out = evolve_ensemble(_plus_zero_state(), [pulse], params, ens)[0]
+    out = _evolve(_plus_zero_state(), [pulse], params, ens)[-1]
     # oracle: discrete average of the accumulated phases over the grid
     shifts = np.linspace(-10, 10, 21)
     envelope = np.mean(np.cos(TWO_PI * shifts * t))
@@ -160,7 +170,9 @@ def test_evolve_ensemble_preserves_trace_each_stage():
         for _ in range(3)
     ]
     ens = NoiseEnsemble.rf_inhomogeneity()
-    for rho in evolve_ensemble(pseudopure_state(0.5), pulses, params, ens):
+    out = _evolve(pseudopure_state(0.5), pulses, params, ens)
+    assert len(out) == 4
+    for rho in out:
         assert abs(np.trace(rho).real - 1) < 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
