@@ -3,7 +3,10 @@
 Fidelity convention is |Tr(U_T^dag U_P)| / N, which is invariant under a
 global phase of either unitary. The gradient is exact: each segment
 exponential is differentiated in its own eigenbasis (Daleckii-Krein), so
-the optimizer needs no small-dt approximation.
+the optimizer needs no small-dt approximation. One gradient call covers the
+whole RF-inhomogeneity ensemble: its realizations share the batched
+eigendecomposition and the serial prefix/suffix chains, and the result is
+bitwise equal to evaluating them one at a time.
 """
 
 from __future__ import annotations
@@ -83,74 +86,127 @@ def robust_fidelity(
     return FidelityReport(fidelity=mean, per_realization=per)
 
 
-def _fidelity_and_gradient(pulse, target, params, realization):
-    """Fidelity and exact gradient arrays (dF/dOx, dF/dOy) for one realization.
+# Matrices (segments x realizations) per block of the forward pass and the
+# Daleckii-Krein contraction: bounds their temporaries to about 40 kB each,
+# while a one-realization call still takes few enough blocks that their
+# Python overhead does not show.
+BLOCK_MATRICES = 160
 
-    Forward/backward propagator caches plus the eigenbasis derivative of
-    each segment exponential. Frozen segments report gradient 0.
+
+def _fidelity_and_gradient(pulse, target, params, realizations):
+    """Fidelities (R,) and exact gradients (R, K) x2 for R noise realizations.
+
+    Each segment exponential is differentiated in its own eigenbasis
+    (Daleckii-Krein), so the gradient needs the prefix and the suffix
+    product at every segment. The R realizations share one batched `eigh`
+    and one pass of each chain; the stacks are K-major, so a chain step is
+    one matmul over an (R, 4, 4) slice. The suffixes are formed first, in
+    place of the propagators; the forward pass then rebuilds the
+    propagators a block at a time and contracts each block as its prefixes
+    appear, so no (K, R) prefix stack is stored.
+
+    Both chains are serial folds taking every product in the order a single
+    realization would, so row r is bitwise equal to the R = 1 result for
+    realizations[r]. Do not reassociate them (a log-depth scan, or suffix =
+    total @ prefix^dag): that moves the gradient by ~1e-13, and L-BFGS
+    amplifies it into a different pulse. Frozen segments report gradient 0.
     """
     k_count = pulse.n_segments
+    r_count = len(realizations)
     dt = pulse.dt
-    hs = segment_hamiltonians(pulse, params, realization)
-    w, v = np.linalg.eigh(hs)  # (K,4), (K,4,4)
-    phases = np.exp(-1j * dt * w)  # (K,4)
-    us = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
-
     n = 4
+    hs = np.empty((k_count, r_count, n, n), dtype=complex)
+    for r, real in enumerate(realizations):
+        hs[:, r] = segment_hamiltonians(pulse, params, real)
+    w, v = np.linalg.eigh(hs)  # (K,R,4), (K,R,4,4)
+    del hs  # freed before the chain stack is allocated
+    phases = np.exp(-1j * dt * w)  # (K,R,4)
+    block = max(1, BLOCK_MATRICES // r_count)
+    blocks = [slice(a, min(a + block, k_count)) for a in range(0, k_count, block)]
+
+    def propagators(s):
+        return (v[s] * phases[s, :, None, :]) @ v[s].conj().swapaxes(-1, -2)
+
+    # chain[k] = u_{k+1} for k < K and chain[K] = 1, then the backward pass
+    # turns chain[k + 1] into suffix[k] = u_K ... u_{k+2}.
+    chain = np.empty((k_count + 1, r_count, n, n), dtype=complex)
+    for s in blocks:
+        chain[s] = propagators(s)
+    chain[k_count] = np.eye(n)
+    for k in range(k_count - 1, 0, -1):
+        np.matmul(chain[k + 1], chain[k], out=chain[k])
+    suffix = chain[1:]
+
+    # Control derivative directions under each realization's noise transform.
+    dx, dy = [], []
+    for real in realizations:
+        scale = real.rf_scale * real.flip_scale
+        cph, sph = math.cos(real.phase_offset), math.sin(real.phase_offset)
+        dx.append(scale * (cph * FX + sph * FY))
+        dy.append(scale * (-sph * FX + cph * FY))
+    dx, dy = np.stack(dx), np.stack(dy)
+
+    # prefix[j] = u_{a+j} ... u_1 within block a:b; prefix[0] carries over.
     ut_dag = target.unitary.conj().T
+    prefix = np.empty((block + 1, r_count, n, n), dtype=complex)
+    prefix[0] = np.eye(n)
+    dg_x = np.empty((r_count, k_count), dtype=complex)
+    dg_y = np.empty((r_count, k_count), dtype=complex)
+    for s in blocks:
+        m = s.stop - s.start
+        us = propagators(s)
+        for j in range(m):
+            np.matmul(us[j], prefix[j], out=prefix[j + 1])
+        # dG_k = Tr(C_k du_k) with C_k = prefix_k U_T^dag suffix_k.
+        c = (prefix[:m] @ ut_dag) @ suffix[s]
+        dg_x[:, s], dg_y[:, s] = _contract(c, w[s], phases[s], v[s], dx, dy, dt)
+        prefix[0] = prefix[m]
+    u_total = prefix[0]
 
-    # prefix[k] = u_{k-1} ... u_1 (identity for k=0); suffix[k] = u_K ... u_{k+1}
-    prefix = np.empty((k_count, n, n), dtype=complex)
-    acc = np.eye(n, dtype=complex)
-    for k in range(k_count):
-        prefix[k] = acc
-        acc = us[k] @ acc
-    u_total = acc
-    suffix = np.empty((k_count, n, n), dtype=complex)
-    acc = np.eye(n, dtype=complex)
-    for k in range(k_count - 1, -1, -1):
-        suffix[k] = acc
-        acc = acc @ us[k]
+    fids = np.empty(r_count)
+    grad_x = np.zeros((r_count, k_count))
+    grad_y = np.zeros((r_count, k_count))
+    for r in range(r_count):
+        g = np.trace(ut_dag @ u_total[r])
+        fids[r] = abs(g) / n
+        if abs(g) < 1e-14:
+            # |Tr| is non-differentiable at 0; return a zero gradient there.
+            continue
+        # dF/dtheta = Re(conj(G) * dG) / (|G| N). The factor stays a scalar
+        # per realization: as an (R, 1) array it rounds differently.
+        coeff = (g.conjugate() / abs(g)) / n
+        grad_x[r] = np.real(coeff * dg_x[r])
+        grad_y[r] = np.real(coeff * dg_y[r])
+    grad_x[:, pulse.frozen] = 0.0
+    grad_y[:, pulse.frozen] = 0.0
+    return fids, grad_x, grad_y
 
-    g = np.trace(ut_dag @ u_total)
-    fidelity = abs(g) / n
-    if abs(g) < 1e-14:
-        # |Tr| is non-differentiable at 0; return a zero gradient there.
-        return fidelity, np.zeros(k_count), np.zeros(k_count)
 
-    # dF/dtheta = Re(conj(G) * dG) / (|G| N); dG = Tr(C_k du_k) with
-    # C_k = prefix_k U_T^dag suffix_k.
-    c = (prefix @ ut_dag) @ suffix
+def _contract(c, w, phases, v, dx, dy, dt):
+    """dG along dx and dy for a (B, R) block of segments, as two (R, B) arrays.
 
-    # Daleckii-Krein coefficients in each segment eigenbasis.
-    lam_i = w[:, :, None]
-    lam_j = w[:, None, :]
-    num = phases[:, :, None] - phases[:, None, :]
+    du is taken in each segment's eigenbasis with the Daleckii-Krein
+    coefficients gamma: Tr(C du) = sum_{mn} c_tilde[n,m] * (X * gamma)[m,n].
+    """
+    lam_i = w[..., :, None]
+    lam_j = w[..., None, :]
+    num = phases[..., :, None] - phases[..., None, :]
     den = lam_i - lam_j
     small = np.abs(den) < 1e-12
-    gamma = np.where(small, -1j * dt * phases[:, :, None] * np.ones_like(den), num / np.where(small, 1.0, den))
-
-    # Control derivative directions under the noise transform.
-    scale = realization.rf_scale * realization.flip_scale
-    cph, sph = math.cos(realization.phase_offset), math.sin(realization.phase_offset)
-    dx = scale * (cph * FX + sph * FY)
-    dy = scale * (-sph * FX + cph * FY)
+    gamma = np.where(small, -1j * dt * phases[..., :, None] * np.ones_like(den), num / np.where(small, 1.0, den))
 
     v_dag = v.conj().swapaxes(-1, -2)
     c_tilde_t = (v_dag @ c @ v).swapaxes(-1, -2)
-    x_x = v_dag @ (dx @ v)
-    x_y = v_dag @ (dy @ v)
-
-    # Tr(C du) = sum_{mn} c_tilde[n,m] * (X * gamma)[m,n]
-    dg_x = np.sum(c_tilde_t * (x_x * gamma), axis=(1, 2))
-    dg_y = np.sum(c_tilde_t * (x_y * gamma), axis=(1, 2))
-
-    coeff = (g.conjugate() / abs(g)) / n
-    grad_x = np.real(coeff * dg_x)
-    grad_y = np.real(coeff * dg_y)
-    grad_x[pulse.frozen] = 0.0
-    grad_y[pulse.frozen] = 0.0
-    return fidelity, grad_x, grad_y
+    dg = []
+    for d in (dx, dy):
+        term = (v_dag @ (d @ v)) * gamma
+        # (X * gamma) * c_tilde^T in this operand order, which is how numpy
+        # evaluates the unblocked c_tilde^T * (X * gamma) in place once it
+        # spans 256 KiB (K >= 1024); complex products round differently
+        # with their operands swapped.
+        np.multiply(term, c_tilde_t, out=term)
+        dg.append(np.sum(term, axis=(-2, -1)).T)
+    return dg
 
 
 def fidelity_gradient(
@@ -160,19 +216,19 @@ def fidelity_gradient(
     realization: NoiseRealization = IDENTITY_NOISE,
 ):
     """Exact gradient of gate_fidelity w.r.t. each non-frozen amplitude."""
-    _, gx, gy = _fidelity_and_gradient(pulse, target, params, realization)
-    return gx, gy
+    _, gx, gy = _fidelity_and_gradient(pulse, target, params, (realization,))
+    return gx[0], gy[0]
 
 
 def _ensemble_fidelity_and_gradient(pulse, target, params, ensemble):
+    fids, rx, ry = _fidelity_and_gradient(pulse, target, params, ensemble.realizations)
     mean_f = 0.0
     gx = np.zeros(pulse.n_segments)
     gy = np.zeros(pulse.n_segments)
-    for real in ensemble.realizations:
-        f, rx, ry = _fidelity_and_gradient(pulse, target, params, real)
-        mean_f += real.weight * f
-        gx += real.weight * rx
-        gy += real.weight * ry
+    for r, real in enumerate(ensemble.realizations):
+        mean_f += real.weight * fids[r]
+        gx += real.weight * rx[r]
+        gy += real.weight * ry[r]
     return mean_f, gx, gy
 
 

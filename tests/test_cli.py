@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 from conftest import toy_config
 from ddgrape.cli import main
 from ddgrape.discord import save_state
-from ddgrape.harness import ExperimentConfig
+from ddgrape.harness import ExperimentConfig, _pulse_path
+from ddgrape.nmr import load_pulse
 
 
 @pytest.fixture(scope="module")
@@ -152,8 +155,38 @@ def test_simulate_unknown_scheme_exits_2_before_any_build(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture(scope="module")
+def cached_gates_copy(toy_workspace, tmp_path_factory):
+    """Factory: a copy of the toy gate cache under a one-iteration config,
+    with the config file and the path of its none/U_W pulse."""
+    cfg, _ = toy_workspace
+
+    def make():
+        root = tmp_path_factory.mktemp("cached")
+        shutil.copytree(Path(cfg.output_dir) / "pulses", root / "pulses")
+        config = dataclasses.replace(cfg, output_dir=str(root), iterations=1)
+        path = root / "config.json"
+        path.write_text(json.dumps(config.to_dict()))
+        return path, _pulse_path(config, "none", "uw")
+
+    return make
+
+
+@pytest.mark.parametrize("value", ["1e300", "nan", "inf"])
+def test_simulate_rejects_cached_pulse_with_bad_amplitude(cached_gates_copy, capsys, value):
+    config_path, pulse_path = cached_gates_copy()
+    lines = pulse_path.read_text().splitlines()
+    index, ox, oy, frozen = lines[5].split()
+    lines[5] = f"{index} {value} {oy} {frozen}"
+    pulse_path.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--config", str(config_path), "--scheme", "none"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(pulse_path) in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
-# Fuzzing the two file parsers: any input ends in an exit code, never in a
+# Fuzzing the three file parsers: any input ends in an exit code, never in a
 # traceback.
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
@@ -245,3 +278,62 @@ def test_fuzz_config_file(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz_config.json"
     path.write_text(text, encoding="utf-8")
     assert _exit_code(["simulate", "--config", str(path), "--scheme", "not-a-scheme"]) == 2
+
+
+PULSE_FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
+
+pulse_tokens = (
+    st.floats().map(repr)
+    | st.sampled_from(["0", "1", "2", "-1", "nan", "inf", "1e300", "6.3e5", "1e-300", "01", "0x1", "", "#"])
+    | st.tuples(st.sampled_from(["dt_seconds=", "omega_max_rad_s="]), st.floats().map(repr)).map("".join)
+    | st.text(max_size=4)
+)
+# (line, column, token): the token replaces that column of the line, or is
+# appended when the line is shorter; None deletes the line. Low line
+# numbers (the header and the first rows) are drawn often.
+pulse_edits = st.lists(
+    st.tuples(st.integers(0, 3) | st.integers(0, 10**6), st.integers(0, 4), st.none() | pulse_tokens),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _edit_lines(lines, edits):
+    lines = list(lines)
+    for line, column, token in edits:
+        if not lines:
+            break
+        i = line % len(lines)
+        if token is None:
+            del lines[i]
+            continue
+        parts = lines[i].split()
+        if column < len(parts):
+            parts[column] = token
+        else:
+            parts.append(token)
+        lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def pulse_fuzz_workspace(cached_gates_copy):
+    config_path, pulse_path = cached_gates_copy()
+    return config_path, pulse_path, pulse_path.read_text().splitlines()
+
+
+@PULSE_FUZZ
+@given(edits=pulse_edits, text=st.none() | st.text(max_size=60))
+def test_fuzz_cached_pulse_file(pulse_fuzz_workspace, edits, text):
+    # The cached none/U_W pulse is edited (or, with text, replaced) and then
+    # loaded by simulate. Any content ends in exit 0 or 2, and a file that
+    # load_pulse rejects never reaches a trajectory.
+    config_path, pulse_path, lines = pulse_fuzz_workspace
+    pulse_path.write_text(_edit_lines(lines, edits) if text is None else text, encoding="utf-8")
+    try:
+        load_pulse(pulse_path)
+        loads = True
+    except ValueError:
+        loads = False
+    code = _exit_code(["simulate", "--config", str(config_path), "--scheme", "none"])
+    assert code in (0, 2) if loads else code == 2

@@ -9,18 +9,25 @@ from ddgrape.dd import DDScheme, freeze_into, place_dd
 from ddgrape.grape import (
     OptimizationConfig,
     TargetGate,
+    _ensemble_fidelity_and_gradient,
+    _fidelity_and_gradient,
     fidelity_gradient,
     gate_fidelity,
     optimize,
     random_initial_pulse,
     robust_fidelity,
 )
+from ddgrape.grover import diffusion_unitary
+from ddgrape.harness import ExperimentConfig
 from ddgrape.nmr import (
+    FX,
+    FY,
     NoiseEnsemble,
     NoiseRealization,
     PulseSequence,
     SystemParams,
     save_pulse,
+    segment_hamiltonians,
     sequence_propagator,
 )
 
@@ -176,3 +183,121 @@ def test_random_initial_pulse_contracts():
     assert np.max(np.abs(a.omega_y)) <= 0.3 * OMEGA_MAX
     with pytest.raises(ValueError):
         random_initial_pulse(10, 5.1e-6, OMEGA_MAX, 0.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# The batched gradient kernel against the one-realization-at-a-time kernel
+# it replaced, which is kept here verbatim as an oracle.
+
+
+def _oracle_fidelity_and_gradient(pulse, target, params, realization):
+    k_count = pulse.n_segments
+    dt = pulse.dt
+    hs = segment_hamiltonians(pulse, params, realization)
+    w, v = np.linalg.eigh(hs)
+    phases = np.exp(-1j * dt * w)
+    us = (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    n = 4
+    ut_dag = target.unitary.conj().T
+    prefix = np.empty((k_count, n, n), dtype=complex)
+    acc = np.eye(n, dtype=complex)
+    for k in range(k_count):
+        prefix[k] = acc
+        acc = us[k] @ acc
+    u_total = acc
+    suffix = np.empty((k_count, n, n), dtype=complex)
+    acc = np.eye(n, dtype=complex)
+    for k in range(k_count - 1, -1, -1):
+        suffix[k] = acc
+        acc = acc @ us[k]
+    g = np.trace(ut_dag @ u_total)
+    fidelity = abs(g) / n
+    if abs(g) < 1e-14:
+        return fidelity, np.zeros(k_count), np.zeros(k_count)
+    c = (prefix @ ut_dag) @ suffix
+    lam_i = w[:, :, None]
+    lam_j = w[:, None, :]
+    num = phases[:, :, None] - phases[:, None, :]
+    den = lam_i - lam_j
+    small = np.abs(den) < 1e-12
+    gamma = np.where(small, -1j * dt * phases[:, :, None] * np.ones_like(den), num / np.where(small, 1.0, den))
+    scale = realization.rf_scale * realization.flip_scale
+    cph, sph = math.cos(realization.phase_offset), math.sin(realization.phase_offset)
+    dx = scale * (cph * FX + sph * FY)
+    dy = scale * (-sph * FX + cph * FY)
+    v_dag = v.conj().swapaxes(-1, -2)
+    c_tilde_t = (v_dag @ c @ v).swapaxes(-1, -2)
+    x_x = v_dag @ (dx @ v)
+    x_y = v_dag @ (dy @ v)
+    dg_x = np.sum(c_tilde_t * (x_x * gamma), axis=(1, 2))
+    dg_y = np.sum(c_tilde_t * (x_y * gamma), axis=(1, 2))
+    coeff = (g.conjugate() / abs(g)) / n
+    grad_x = np.real(coeff * dg_x)
+    grad_y = np.real(coeff * dg_y)
+    grad_x[pulse.frozen] = 0.0
+    grad_y[pulse.frozen] = 0.0
+    return fidelity, grad_x, grad_y
+
+
+MIXED_ENSEMBLE = NoiseEnsemble(
+    (
+        NoiseRealization(rf_scale=0.93, weight=0.25),
+        NoiseRealization(offset_shift=-7.0, weight=0.25),
+        NoiseRealization(flip_scale=1.04, weight=0.25),
+        NoiseRealization(rf_scale=1.05, offset_shift=3.0, phase_offset=0.3, weight=0.25),
+    )
+)
+
+
+def test_ensemble_gradient_bitwise_equals_per_realization_oracle():
+    # The desk U_D start: K = 1470 with frozen xy:90:100 segments. The size
+    # matters, because the oracle's c_tilde^T * (X * gamma) is evaluated in
+    # place, with its operands swapped, only from K = 1024 up.
+    cfg = ExperimentConfig()
+    k = cfg.n_segments_per_gate
+    pulse = random_initial_pulse(k, cfg.dt, cfg.omega_max, cfg.amplitude_fraction, 2024)
+    pulse = freeze_into(pulse, place_dd(k, DDScheme.parse("xy:90:100")))
+    target = TargetGate(diffusion_unitary(), "ud")
+    mean_f, gx, gy = 0.0, np.zeros(k), np.zeros(k)
+    for real in MIXED_ENSEMBLE.realizations:
+        f, rx, ry = _oracle_fidelity_and_gradient(pulse, target, cfg.system, real)
+        mean_f += real.weight * f
+        gx += real.weight * rx
+        gy += real.weight * ry
+    got_f, got_x, got_y = _ensemble_fidelity_and_gradient(pulse, target, cfg.system, MIXED_ENSEMBLE)
+    assert got_f == mean_f
+    assert np.array_equal(got_x, gx) and np.array_equal(got_y, gy)
+    assert not got_x[pulse.frozen].any() and got_x[~pulse.frozen].any()
+
+
+def _zero_trace_case():
+    # A collective x rotation without a system Hamiltonian: U = r (x) r and
+    # Tr(Z1 U) = Tr(Z r) Tr(r) = 0 up to round-off, for the noiseless and
+    # the RF-scaled member. An offset shift makes the trace nonzero.
+    k = 20
+    pulse = PulseSequence(np.full(k, 2e4), np.zeros(k), np.zeros(k, bool), 5.1e-6, OMEGA_MAX)
+    target = TargetGate(np.diag([1, 1, -1, -1]).astype(complex), "z1")
+    reals = (NoiseRealization(), NoiseRealization(offset_shift=900.0), NoiseRealization(rf_scale=1.1))
+    return pulse, target, SystemParams(0, 0, 0), reals
+
+
+def _random_case():
+    rng = np.random.default_rng(8)
+    pulse = random_initial_pulse(50, 5.1e-6, OMEGA_MAX, 0.3, 8)
+    pulse = freeze_into(pulse, place_dd(50, DDScheme(90, ("x", "y"), 20)))
+    return pulse, TargetGate(random_unitary(rng)), SystemParams(436, -436, 70), MIXED_ENSEMBLE.realizations[1:]
+
+
+@pytest.mark.parametrize("case", [_random_case, _zero_trace_case])
+def test_batched_gradient_rows_equal_single_realization_calls(case):
+    pulse, target, params, reals = case()
+    fids, gx, gy = _fidelity_and_gradient(pulse, target, params, reals)
+    assert fids.shape == (3,) and gx.shape == gy.shape == (3, pulse.n_segments)
+    for r, real in enumerate(reals):
+        f1, gx1, gy1 = _fidelity_and_gradient(pulse, target, params, (real,))
+        assert fids[r] == f1[0]
+        assert np.array_equal(gx[r], gx1[0]) and np.array_equal(gy[r], gy1[0])
+    if case is _zero_trace_case:
+        assert fids[0] < 1e-14 and fids[2] < 1e-14 and fids[1] > 0.1
+        assert not gx[[0, 2]].any() and not gy[[0, 2]].any()
+        assert gx[1].any() or gy[1].any()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_unitary
 from ddgrape.core import ID4, collective_operator, is_unitary, unitary_exp
 from ddgrape.nmr import (
     NoiseEnsemble,
@@ -12,6 +13,7 @@ from ddgrape.nmr import (
     control_hamiltonian,
     evolve_ensemble,
     load_pulse,
+    ordered_product,
     pseudopure_state,
     save_pulse,
     sequence_propagator,
@@ -204,3 +206,61 @@ def test_pulse_file_roundtrip(tmp_path):
     assert np.array_equal(back.omega_y, pulse.omega_y)
     assert np.array_equal(back.frozen, pulse.frozen)
     assert back.dt == pulse.dt and back.omega_max == pulse.omega_max
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 1470])
+def test_ordered_product_matches_left_fold(k):
+    rng = np.random.default_rng(k)
+    us = np.array([random_unitary(rng) for _ in range(k)])
+    fold = us[0]
+    for u in us[1:]:
+        fold = u @ fold
+    assert np.max(np.abs(ordered_product(us) - fold)) <= 1e-13
+
+
+def _pulse_file(tmp_path):
+    pulse = PulseSequence(
+        np.array([1e5, -2e5, 0.0]), np.array([0.0, 1e5, 3e5]), np.array([False, True, False]), 5.1e-6, TWO_PI * 1e5
+    )
+    path = tmp_path / "pulse.txt"
+    save_pulse(path, pulse)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "line, text, message",
+    [
+        (3, "1 1e300 0.0 1", "amplitude norm above omega_max"),
+        (3, "1 0.0 -628318.6 1", "amplitude norm above omega_max"),
+        (3, "1 nan 0.0 1", "non-finite"),
+        (3, "1 0.0 -inf 1", "non-finite"),
+        (3, "1 0.0 0.0 2", "frozen flag '2'"),
+        (3, "1 0.0 0.0 True", "frozen flag 'True'"),
+        (3, "2 0.0 0.0 1", "row 1 has index '2'"),
+        (2, "1 100000.0 0.0 0", "row 0 has index '1'"),
+        (3, "1 0.0 0.0", "bad pulse row"),
+        (3, "1 zero 0.0 1", "could not convert"),
+        (0, "# dt_seconds=nan", "must be finite"),
+        (1, "# omega_max_rad_s=-1.0", "must be finite"),
+        (0, "# dt=5.1e-6", "missing"),
+    ],
+)
+def test_load_pulse_rejects_what_save_pulse_cannot_write(tmp_path, line, text, message):
+    path, lines = _pulse_file(tmp_path)
+    lines[line] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message) as info:
+        load_pulse(path)
+    assert str(path) in str(info.value)
+
+
+def test_load_pulse_allows_round_off_above_omega_max(tmp_path):
+    path, lines = _pulse_file(tmp_path)
+    omega_max = TWO_PI * 1e5
+    lines[3] = f"1 {omega_max * (1 + 5e-13)!r} 0.0 1"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_pulse(path).omega_x[1] > omega_max
+    lines[3] = f"1 {omega_max * (1 + 1e-11)!r} 0.0 1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="above omega_max"):
+        load_pulse(path)
