@@ -119,13 +119,10 @@ def entropy_2x2(trace: np.ndarray, det: np.ndarray) -> np.ndarray:
     """
     t = np.asarray(trace, dtype=float)
     d = np.asarray(det, dtype=float)
-    disc = np.sqrt(np.clip(t * t - 4.0 * d, 0.0, None))
-    lo = np.clip((t - disc) / 2.0, 0.0, None)
-    hi = np.clip((t + disc) / 2.0, 0.0, None)
-    out = np.zeros_like(lo)
-    for lam in (lo, hi):
-        mask = lam > 0
-        out = out - np.where(mask, lam * np.log2(np.where(mask, lam, 1.0)), 0.0)
+    disc = np.sqrt(np.maximum(t * t - 4.0 * d, 0.0))
+    out = 0.0
+    for lam in (np.maximum((t - disc) / 2.0, 0.0), np.maximum((t + disc) / 2.0, 0.0)):
+        out = out - lam * np.log2(np.where(lam > 0, lam, 1.0))
     return out
 
 

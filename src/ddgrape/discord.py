@@ -20,6 +20,9 @@ LN2 = math.log(2.0)
 COARSE_THETAS = 61
 COARSE_PHIS = 121
 REFINE_TOL_BITS = 1e-8
+# Axes per kernel call on the coarse and brute-force grids: bigger blocks
+# make temporaries that fall out of cache and cost more per axis.
+KERNEL_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -76,38 +79,54 @@ def conditional_entropy(rho: np.ndarray, basis: MeasurementBasis) -> float:
     return total
 
 
-def _conditional_entropy_bases(rho: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Vectorized H_Pi(S|A) for every measurement axis in the flat angle lists.
+def _measurement_blocks(rho: np.ndarray) -> np.ndarray:
+    """rho_S and T_k = tr_A[rho (1 x sigma_k)] for k = x, y, z, as a real (4, 4) array.
 
-    Uses the 2x2 closed-form entropy on the unnormalized conditional blocks
-    M_n[s,s'] = <n| rho_{a a'}^{(s,s')} |n>; the second outcome is
-    rho_S - M_n, so only one contraction per axis is needed.
+    Each row holds one Hermitian 2x2 block as (M00, M11, Re M01, Im M01).
+    Outcome +-n of the measurement on A leaves qubit S in the unnormalized
+    state M_+-(n) = (rho_S +- n.T) / 2, which is linear in the axis n.
     """
-    half = thetas / 2.0
-    kets = np.stack([np.cos(half), np.sin(half) * np.exp(1j * phis)], axis=1)  # (B, 2)
     r = rho.reshape(2, 2, 2, 2)  # (s, a, s', a')
-    m0 = np.einsum("Ba,saSA,BA->BsS", kets.conj(), r, kets, optimize=True)
-    rho_s = partial_trace(rho, "S")
-    m1 = rho_s[None, :, :] - m0
-
-    out = np.zeros(len(thetas))
-    for m in (m0, m1):
-        p = np.einsum("Bss->B", m).real
-        det = (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]).real
-        mask = p > 1e-12
-        # entropy of M/p scaled by p: p * H2(tr=1, det/p^2)
-        safe_p = np.where(mask, p, 1.0)
-        h = entropy_2x2(np.ones_like(p), np.clip(det, 0.0, None) / (safe_p * safe_p))
-        out += np.where(mask, p * h, 0.0)
-    return out
+    aa, bb, ab, ba = r[:, 0, :, 0], r[:, 1, :, 1], r[:, 0, :, 1], r[:, 1, :, 0]
+    m = np.stack([aa + bb, ab + ba, 1j * (ab - ba), aa - bb])
+    return np.stack([m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1].real, m[:, 0, 1].imag], axis=1)
 
 
-def _grid_min(rho, thetas, phis):
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    values = _conditional_entropy_bases(rho, tt.ravel(), pp.ravel()).reshape(tt.shape)
-    flat = int(np.argmin(values))
-    i, j = np.unravel_index(flat, values.shape)
-    return float(values[i, j]), float(tt[i, j]), float(pp[i, j]), values
+def _bloch_axes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Unit axes (sin th cos ph, sin th sin ph, cos th) stacked on a leading
+    axis of length 3, broadcast over the angle arrays."""
+    sin_t = np.sin(thetas)
+    axes = np.empty((3,) + np.broadcast_shapes(np.shape(thetas), np.shape(phis)))
+    axes[0] = sin_t * np.cos(phis)
+    axes[1] = sin_t * np.sin(phis)
+    axes[2] = np.cos(thetas)
+    return axes
+
+
+_HALF_SIGNS = np.array([[0.5], [-0.5]])
+
+
+def _conditional_entropy_bases(blocks: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """H_Pi(S|A) in bits for every measurement axis in `axes` (3, ...).
+
+    One (4, 3) @ (3, B) product gives n.T for all axes; each outcome then
+    contributes p H(M/p) = S2(M) + p log2 p, with S2 the entropy of the
+    unnormalized block from its trace p and determinant. Outcomes with
+    p <= 1e-12 contribute nothing.
+    """
+    shift = blocks[1:].T @ axes.reshape(3, -1)  # n.T, (4, B)
+    m = 0.5 * blocks[0][:, None, None] + _HALF_SIGNS * shift[:, None, :]  # M_+ and M_-, (4, 2, B)
+    p = m[0] + m[1]
+    det = m[0] * m[1] - m[2] * m[2] - m[3] * m[3]
+    mask = p > 1e-12
+    safe_p = np.where(mask, p, 1.0)
+    h = entropy_2x2(p, np.maximum(det, 0.0)) + safe_p * np.log2(safe_p)
+    return np.where(mask, h, 0.0).sum(axis=0).reshape(axes.shape[1:])
+
+
+_COARSE_THETA_GRID = np.linspace(0.0, math.pi, COARSE_THETAS)
+_COARSE_PHI_GRID = np.linspace(0.0, 2.0 * math.pi, COARSE_PHIS, endpoint=False)
+_COARSE_AXES = _bloch_axes(_COARSE_THETA_GRID[:, None], _COARSE_PHI_GRID[None, :]).reshape(3, -1)
 
 
 def min_conditional_entropy(rho: np.ndarray, n_starts: int = 3):
@@ -117,61 +136,91 @@ def min_conditional_entropy(rho: np.ndarray, n_starts: int = 3):
     lowest value, then lowest theta, then lowest phi) until the improvement
     per round drops below 1e-8 bits.
     """
-    thetas = np.linspace(0.0, math.pi, COARSE_THETAS)
-    phis = np.linspace(0.0, 2.0 * math.pi, COARSE_PHIS, endpoint=False)
-    _, _, _, values = _grid_min(rho, thetas, phis)
+    blocks = _measurement_blocks(rho)
+    n = _COARSE_AXES.shape[1]
+    values = np.concatenate(
+        [_conditional_entropy_bases(blocks, _COARSE_AXES[:, i : i + KERNEL_CHUNK]) for i in range(0, n, KERNEL_CHUNK)]
+    )
+    thetas, phis = _COARSE_THETA_GRID, _COARSE_PHI_GRID
 
-    order = np.argsort(values.ravel(), kind="stable")
     starts = []
+    order = np.argsort(values, kind="stable")
     for flat in order[: max(n_starts * 8, n_starts)]:
-        i, j = np.unravel_index(int(flat), values.shape)
+        i, j = divmod(int(flat), COARSE_PHIS)
         th, ph = float(thetas[i]), float(phis[j])
         # Skip starts adjacent to one already chosen.
-        if any(abs(th - t) < 0.2 and min(abs(ph - p), 2 * math.pi - abs(ph - p)) < 0.2 for t, p in starts):
+        if any(abs(th - t) < 0.2 and min(abs(ph - p), 2 * math.pi - abs(ph - p)) < 0.2 for t, p, _ in starts):
             continue
-        starts.append((th, ph))
+        starts.append((th, ph, values[flat]))
         if len(starts) >= n_starts:
             break
 
-    dth = thetas[1] - thetas[0]
-    dph = phis[1] - phis[0]
+    vals, ths, phs = _zoom(blocks, np.array(starts), thetas[1] - thetas[0], phis[1] - phis[0])
     best_val = math.inf
     best_axis = (0.0, 0.0)
-    for th0, ph0 in starts:
-        val, th, ph = _zoom(rho, th0, ph0, dth, dph)
+    for val, th, ph in zip(vals.tolist(), ths.tolist(), phs.tolist()):
         if val < best_val - 1e-15:
             best_val = val
             best_axis = (th, ph)
     return best_val, MeasurementBasis(min(best_axis[0], math.pi), best_axis[1] % (2.0 * math.pi))
 
 
-def _zoom(rho, th0, ph0, dth, dph):
-    best = _conditional_entropy_bases(rho, np.array([th0]), np.array([ph0]))[0]
-    th, ph = th0, ph0
+_WINDOW = np.linspace(-1.0, 1.0, 9)
+
+
+def _zoom(blocks, starts, dth, dph):
+    """Refine all starts (rows theta, phi, value) together, one kernel call per round.
+
+    Each round evaluates a 9x9 angle window around every start still
+    running, moves each start to its window's minimum if that is lower, and
+    shrinks the windows threefold. A start stops once a round improved it
+    by less than 1e-8 bits with the theta window below 1e-9 rad, or after
+    200 rounds.
+    """
+    th, ph, best = (starts[:, k].copy() for k in range(3))
+    running = np.arange(len(starts))
     wt, wp = dth, dph
     for _ in range(200):
-        ts = np.clip(np.linspace(th - wt, th + wt, 9), 0.0, math.pi)
-        ps = np.linspace(ph - wp, ph + wp, 9)
-        tt, pp = np.meshgrid(ts, ps, indexing="ij")
-        vals = _conditional_entropy_bases(rho, tt.ravel(), pp.ravel())
-        k = int(np.argmin(vals))
-        improvement = best - vals[k]
-        if vals[k] < best:
-            best = float(vals[k])
-            th, ph = float(tt.ravel()[k]), float(pp.ravel()[k])
+        ts = np.clip(th[running, None] + wt * _WINDOW, 0.0, math.pi)
+        ps = ph[running, None] + wp * _WINDOW
+        vals = _conditional_entropy_bases(blocks, _bloch_axes(ts[:, :, None], ps[:, None, :]))
+        vals = vals.reshape(len(running), 81)
+        k = np.argmin(vals, axis=1)
+        low = vals[np.arange(len(running)), k]
+        improvement = best[running] - low
+        moved = low < best[running]
+        idx, i, j = running[moved], k[moved] // 9, k[moved] % 9
+        best[idx] = low[moved]
+        th[idx] = ts[moved, i]
+        ph[idx] = ps[moved, j]
         wt /= 3.0
         wp /= 3.0
-        if improvement < REFINE_TOL_BITS and wt < 1e-9:
-            break
+        if wt < 1e-9:
+            running = running[improvement >= REFINE_TOL_BITS]
+            if running.size == 0:
+                break
     return best, th, ph
 
 
 def brute_force_min_conditional_entropy(rho: np.ndarray, n_theta: int = 601, n_phi: int = 1201):
-    """Dense-grid oracle for the basis minimization (no refinement)."""
+    """Dense-grid oracle for the basis minimization (no refinement).
+
+    The (theta, phi) grid is evaluated in blocks of whole theta rows, at
+    most KERNEL_CHUNK points each unless one row is longer; ties go to the
+    first point in row-major order.
+    """
+    blocks = _measurement_blocks(rho)
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    val, th, ph, _ = _grid_min(rho, thetas, phis)
-    return val, MeasurementBasis(th, ph)
+    rows = max(1, KERNEL_CHUNK // n_phi)
+    best, best_flat = math.inf, 0
+    for i0 in range(0, n_theta, rows):
+        vals = _conditional_entropy_bases(blocks, _bloch_axes(thetas[i0 : i0 + rows, None], phis)).ravel()
+        k = int(np.argmin(vals))
+        if vals[k] < best:
+            best, best_flat = float(vals[k]), i0 * n_phi + k
+    i, j = divmod(best_flat, n_phi)
+    return best, MeasurementBasis(float(thetas[i]), float(phis[j]))
 
 
 def quantum_discord(rho: np.ndarray, epsilon: float | None = None) -> DiscordResult:

@@ -212,6 +212,31 @@ def _build_one(config: ExperimentConfig, scheme: str, target: TargetGate, seed: 
     return optimize(initial, target, config.system, opt)
 
 
+def _check_cached_pulse(path, pulse: PulseSequence, config: ExperimentConfig, scheme: str) -> None:
+    """Raise a ValueError naming `path` unless the cached pulse has the config's
+    dt and segment count, and exactly the frozen mask and frozen amplitudes
+    that freeze_into(place_dd(...)) gives the scheme (no frozen segment for
+    the unprotected scheme). The system parameters are not checked."""
+    if pulse.dt != config.dt or pulse.n_segments != config.n_segments_per_gate:
+        raise ValueError(
+            f"cached pulse file {path} has dt={pulse.dt!r} and {pulse.n_segments} segments, but the config "
+            f"asks for dt={config.dt!r} and {config.n_segments_per_gate}; move it away to rebuild"
+        )
+    expected = PulseSequence.zeros(config.n_segments_per_gate, config.dt, config.omega_max)
+    if scheme != UNPROTECTED:
+        expected = freeze_into(expected, place_dd(config.n_segments_per_gate, DDScheme.parse(scheme)))
+    mask = expected.frozen
+    if not (
+        np.array_equal(pulse.frozen, mask)
+        and np.array_equal(pulse.omega_x[mask], expected.omega_x[mask])
+        and np.array_equal(pulse.omega_y[mask], expected.omega_y[mask])
+    ):
+        raise ValueError(
+            f"cached pulse file {path} does not carry the frozen DD segments of scheme {scheme!r}; "
+            "move it away to rebuild"
+        )
+
+
 def build_protected_gates(
     config: ExperimentConfig, restarts: int = 8, candidates: int = 3, verbose: bool = False
 ):
@@ -237,6 +262,7 @@ def build_protected_gates(
             path = _pulse_path(config, scheme, target.label)
             if path.exists():
                 pulse = load_pulse(path)
+                _check_cached_pulse(path, pulse, config, scheme)
                 report = robust_fidelity(pulse, target, config.system, rfi)
             else:
                 best_pulse, best_report = None, None

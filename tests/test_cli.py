@@ -185,6 +185,33 @@ def test_simulate_rejects_cached_pulse_with_bad_amplitude(cached_gates_copy, cap
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("change", [{"dt": 5.0e-6}, {"n_segments_per_gate": 80}])
+def test_simulate_rejects_cached_pulses_built_for_another_config(cached_gates_copy, capsys, change):
+    config_path, pulse_path = cached_gates_copy()
+    config = ExperimentConfig.from_json(config_path)
+    config_path.write_text(json.dumps(dataclasses.replace(config, **change).to_dict()))
+    pulses = {p.name: p.read_bytes() for p in pulse_path.parent.iterdir()}
+    assert main(["simulate", "--config", str(config_path), "--scheme", "none"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(pulse_path) in captured.err
+    assert captured.out == ""
+    # nothing was rebuilt or written
+    assert {p.name: p.read_bytes() for p in pulse_path.parent.iterdir()} == pulses
+    assert sorted(p.name for p in config_path.parent.iterdir()) == ["config.json", "pulses"]
+
+
+def test_simulate_rejects_unprotected_cached_pulse_with_a_frozen_segment(cached_gates_copy, capsys):
+    config_path, pulse_path = cached_gates_copy()
+    lines = pulse_path.read_text().splitlines()
+    index, ox, oy, _ = lines[5].split()
+    lines[5] = f"{index} {ox} {oy} 1"
+    pulse_path.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--config", str(config_path), "--scheme", "none"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(pulse_path) in captured.err
+    assert "'none'" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing the three file parsers: any input ends in an exit code, never in a
 # traceback.

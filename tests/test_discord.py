@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_mixed_state, random_pure_state
-from ddgrape.core import von_neumann_entropy, partial_trace
+from conftest import random_mixed_state, random_pure_state, random_unitary
+from ddgrape.core import SIGMA_X, SIGMA_Y, SIGMA_Z, entropy_2x2, von_neumann_entropy, partial_trace
 from ddgrape.discord import (
     MeasurementBasis,
+    _bloch_axes,
     _conditional_entropy_bases,
+    _measurement_blocks,
     brute_force_min_conditional_entropy,
     conditional_entropy,
     load_state,
@@ -17,6 +19,7 @@ from ddgrape.discord import (
     quantum_discord,
     save_state,
 )
+from ddgrape.grover import GroverSpec, ideal_trajectory
 
 
 def bell_state():
@@ -69,6 +72,10 @@ def test_conditional_entropy_examples():
         assert conditional_entropy(np.eye(4, dtype=complex) / 4, basis) == pytest.approx(1.0, abs=1e-10)
 
 
+def _kernel(rho, thetas, phis):
+    return _conditional_entropy_bases(_measurement_blocks(rho), _bloch_axes(thetas, phis))
+
+
 def test_vectorized_kernel_matches_scalar_conditional_entropy():
     # dual route: the grid kernel must agree with the projector-by-projector path
     rng = np.random.default_rng(9)
@@ -76,7 +83,7 @@ def test_vectorized_kernel_matches_scalar_conditional_entropy():
         rho = random_mixed_state(rng)
         thetas = rng.uniform(0, math.pi, 5)
         phis = rng.uniform(0, 2 * math.pi, 5)
-        fast = _conditional_entropy_bases(rho, thetas, phis)
+        fast = _kernel(rho, thetas, phis)
         slow = [conditional_entropy(rho, MeasurementBasis(t, p)) for t, p in zip(thetas, phis)]
         assert np.max(np.abs(fast - np.array(slow))) < 1e-10
 
@@ -150,3 +157,161 @@ def test_state_file_roundtrip(tmp_path):
     save_state(path, rho)
     back = load_state(path)
     assert np.max(np.abs(back - rho)) < 1e-15
+
+
+def test_kernel_at_the_poles_and_with_a_zero_probability_outcome():
+    ket0 = np.array([1, 0], dtype=complex)
+    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
+    rng = np.random.default_rng(16)
+    states = [np.outer(v, v.conj()) for v in (np.kron(ket0, ket0), np.kron(ket0, plus))]
+    states += [random_mixed_state(rng), random_pure_state(rng), bell_state()]
+    thetas = np.array([0.0, math.pi, 0.0, math.pi, math.pi / 2, math.pi / 2])
+    phis = np.array([0.0, 0.0, 1.3, 4.0, 0.0, math.pi])
+    for rho in states:
+        fast = _kernel(rho, thetas, phis)
+        slow = [conditional_entropy(rho, MeasurementBasis(t, p)) for t, p in zip(thetas, phis)]
+        assert np.max(np.abs(fast - np.array(slow))) < 1e-12
+    # |00>: measuring z on A has an outcome of probability 0, and S is pure.
+    assert np.all(np.abs(_kernel(states[0], thetas, phis)) < 1e-12)
+
+
+# A test-only verbatim copy of the einsum kernel and the one-start-at-a-time
+# zoom that the closed-form kernel and the batched zoom replaced: the oracle
+# for the minimizer.
+
+
+def _reference_conditional_entropy_bases(rho, thetas, phis):
+    half = thetas / 2.0
+    kets = np.stack([np.cos(half), np.sin(half) * np.exp(1j * phis)], axis=1)  # (B, 2)
+    r = rho.reshape(2, 2, 2, 2)  # (s, a, s', a')
+    m0 = np.einsum("Ba,saSA,BA->BsS", kets.conj(), r, kets, optimize=True)
+    rho_s = partial_trace(rho, "S")
+    m1 = rho_s[None, :, :] - m0
+
+    out = np.zeros(len(thetas))
+    for m in (m0, m1):
+        p = np.einsum("Bss->B", m).real
+        det = (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]).real
+        mask = p > 1e-12
+        # entropy of M/p scaled by p: p * H2(tr=1, det/p^2)
+        safe_p = np.where(mask, p, 1.0)
+        h = entropy_2x2(np.ones_like(p), np.clip(det, 0.0, None) / (safe_p * safe_p))
+        out += np.where(mask, p * h, 0.0)
+    return out
+
+
+def _reference_grid_min(rho, thetas, phis):
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    values = _reference_conditional_entropy_bases(rho, tt.ravel(), pp.ravel()).reshape(tt.shape)
+    flat = int(np.argmin(values))
+    i, j = np.unravel_index(flat, values.shape)
+    return float(values[i, j]), float(tt[i, j]), float(pp[i, j]), values
+
+
+def _reference_min_conditional_entropy(rho, n_starts=3):
+    thetas = np.linspace(0.0, math.pi, 61)
+    phis = np.linspace(0.0, 2.0 * math.pi, 121, endpoint=False)
+    _, _, _, values = _reference_grid_min(rho, thetas, phis)
+
+    order = np.argsort(values.ravel(), kind="stable")
+    starts = []
+    for flat in order[: max(n_starts * 8, n_starts)]:
+        i, j = np.unravel_index(int(flat), values.shape)
+        th, ph = float(thetas[i]), float(phis[j])
+        if any(abs(th - t) < 0.2 and min(abs(ph - p), 2 * math.pi - abs(ph - p)) < 0.2 for t, p in starts):
+            continue
+        starts.append((th, ph))
+        if len(starts) >= n_starts:
+            break
+
+    dth = thetas[1] - thetas[0]
+    dph = phis[1] - phis[0]
+    best_val = math.inf
+    best_axis = (0.0, 0.0)
+    for th0, ph0 in starts:
+        val, th, ph = _reference_zoom(rho, th0, ph0, dth, dph)
+        if val < best_val - 1e-15:
+            best_val = val
+            best_axis = (th, ph)
+    return best_val, MeasurementBasis(min(best_axis[0], math.pi), best_axis[1] % (2.0 * math.pi))
+
+
+def _reference_zoom(rho, th0, ph0, dth, dph):
+    best = _reference_conditional_entropy_bases(rho, np.array([th0]), np.array([ph0]))[0]
+    th, ph = th0, ph0
+    wt, wp = dth, dph
+    for _ in range(200):
+        ts = np.clip(np.linspace(th - wt, th + wt, 9), 0.0, math.pi)
+        ps = np.linspace(ph - wp, ph + wp, 9)
+        tt, pp = np.meshgrid(ts, ps, indexing="ij")
+        vals = _reference_conditional_entropy_bases(rho, tt.ravel(), pp.ravel())
+        k = int(np.argmin(vals))
+        improvement = best - vals[k]
+        if vals[k] < best:
+            best = float(vals[k])
+            th, ph = float(tt.ravel()[k]), float(pp.ravel()[k])
+        wt /= 3.0
+        wp /= 3.0
+        if improvement < 1e-8 and wt < 1e-9:
+            break
+    return best, th, ph
+
+
+def _two_basin_state(seed):
+    """Bell-diagonal state with nearly equal x and z correlations, rotated on
+    A: two basins of almost the same depth, so more than one zoom start
+    decides the result (the first coarse start alone ends 3e-7 to 1e-6 high)."""
+    c = (0.5, 0.1, -0.4999)
+    rho = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, (SIGMA_X, SIGMA_Y, SIGMA_Z)))) / 4
+    u = np.kron(np.eye(2), random_unitary(np.random.default_rng(seed), 2))
+    return u @ rho @ u.conj().T
+
+
+def _oracle_states():
+    rng = np.random.default_rng(17)
+    states = [random_mixed_state(rng) for _ in range(12)]
+    states += [random_pure_state(rng) for _ in range(12)]
+    states += [np.kron(random_mixed_state(rng, 2, 2), random_mixed_state(rng, 2, 2)) for _ in range(6)]
+    for eps in (1.0, 0.01):
+        states += [rho for _, rho in ideal_trajectory(GroverSpec(1, 6), epsilon=eps)]
+    states += [_two_basin_state(seed) for seed in (2, 7, 13)]
+    return states
+
+
+def test_min_conditional_entropy_matches_the_reference_minimizer():
+    states = _oracle_states()
+    assert len(states) == 61
+    for rho in states:
+        got, basis = min_conditional_entropy(rho)
+        want, _ = _reference_min_conditional_entropy(rho)
+        assert abs(got - want) <= 1e-12
+        # the reported basis attains the reported minimum
+        assert abs(conditional_entropy(rho, basis) - got) <= 1e-10
+
+
+def test_kernel_matches_the_reference_kernel_on_the_coarse_grid():
+    thetas = np.linspace(0.0, math.pi, 61)
+    phis = np.linspace(0.0, 2.0 * math.pi, 121, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    for rho in _oracle_states()[::5]:
+        want = _reference_conditional_entropy_bases(rho, tt.ravel(), pp.ravel())
+        assert np.max(np.abs(_kernel(rho, tt.ravel(), pp.ravel()) - want)) <= 1e-12
+
+
+def test_brute_force_takes_the_first_grid_minimum():
+    # |00><00| reaches its minimum 0 at every phi of theta = 0 and theta = pi;
+    # the oracle reports the first grid point in (theta, phi) order.
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    val, basis = brute_force_min_conditional_entropy(rho, 31, 61)
+    assert val == pytest.approx(0.0, abs=1e-12)
+    assert (basis.theta, basis.phi) == (0.0, 0.0)
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        rho = random_mixed_state(rng)
+        val, basis = brute_force_min_conditional_entropy(rho, 101, 201)
+        thetas = np.linspace(0.0, math.pi, 101)
+        phis = np.linspace(0.0, 2.0 * math.pi, 201, endpoint=False)
+        want, th, ph, _ = _reference_grid_min(rho, thetas, phis)
+        assert abs(val - want) <= 1e-12
+        assert (basis.theta, basis.phi) == (th, ph)
