@@ -2,9 +2,12 @@
 RMS-deviation analysis, and robustness sweeps.
 
 Gate pulses are cached as text files keyed by (scheme, target, seed) so
-repeated runs with one config reuse the optimization results. All ensemble
-and sweep reductions run in a fixed order; outputs are deterministic for a
-given config and seed.
+repeated runs with one config reuse the optimization results. Trajectories
+and sweeps compute every noise member's gate propagators on one thread pool
+of `worker_count()` workers (DDGRAPE_THREADS=1 runs them serially); all
+ensemble and sweep reductions then run in a fixed order, so outputs are
+identical for any worker count and deterministic for a given config and
+seed.
 """
 
 from __future__ import annotations
@@ -98,6 +101,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        for key in ("rfi_scales", "flip_scales", "phase_offsets"):
+            if not getattr(self, key):
+                raise ValueError(f"config key {key!r} must not be empty")
+        if self.incoherence_points < 1:
+            raise ValueError("config key 'incoherence_points' must be >= 1")
+        if len(self.incoherence_range) != 2:
+            raise ValueError("config key 'incoherence_range' must hold 2 values")
         for s in self.schemes:
             if s != UNPROTECTED:
                 scheme = DDScheme.parse(s)
@@ -327,8 +337,7 @@ def run_trajectory(
         gate_set = gates[scheme]
         # Per-member gate propagators, computed once and reused each round.
         weights = [real.weight for real in noise.realizations]
-        uw = [sequence_propagator(gate_set.pulse_w, config.system, real) for real in noise.realizations]
-        ud = [sequence_propagator(gate_set.pulse_d, config.system, real) for real in noise.realizations]
+        uw, ud = _member_propagators((gate_set.pulse_w, gate_set.pulse_d), config.system, noise.realizations)
 
     stages = [[HADAMARD2] * len(weights)] + [uw, ud] * spec.iterations
     labels = [StageLabel("PPS"), StageLabel("H")]
@@ -386,14 +395,23 @@ class SweepRow:
     mean_fidelity_incoherent: float
 
 
+def _member_propagators(pulses, params: SystemParams, realizations):
+    """sequence_propagator of every (pulse, member) pair, computed on one
+    pool of worker_count() threads; one list per pulse, in member order."""
+    jobs = [(pulse, real) for pulse in pulses for real in realizations]
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        flat = list(pool.map(lambda job: sequence_propagator(job[0], params, job[1]), jobs))
+    n = len(realizations)
+    return [flat[i * n : (i + 1) * n] for i in range(len(pulses))]
+
+
 def _iterate_mean_fidelity(uw_pulse, ud_pulse, config: ExperimentConfig, noise_members):
     """F_bar = (1/6) sum_j F(U_PG^j, U_G^j), weight-averaged over noise members."""
     u_g = diffusion_unitary() @ oracle_unitary(config.marked)
+    uws, uds = _member_propagators((uw_pulse, ud_pulse), config.system, noise_members)
     total = 0.0
-    for real in noise_members:
-        u_pg = sequence_propagator(ud_pulse, config.system, real) @ sequence_propagator(
-            uw_pulse, config.system, real
-        )
+    for real, uw, ud in zip(noise_members, uws, uds):
+        u_pg = ud @ uw
         acc_p = np.eye(4, dtype=complex)
         acc_t = np.eye(4, dtype=complex)
         mean = 0.0
@@ -414,18 +432,13 @@ def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
     }
     incoherence = config.incoherence_ensemble()
     rows = []
-
-    def one(scheme, kind):
+    for scheme in config.schemes:
         gate_set = gates[scheme]
-        err = error_kinds[kind]
-        f_plain = _iterate_mean_fidelity(gate_set.pulse_w, gate_set.pulse_d, config, err.realizations)
-        combined = err.combined_with(incoherence)
-        f_inc = _iterate_mean_fidelity(gate_set.pulse_w, gate_set.pulse_d, config, combined.realizations)
-        return SweepRow(scheme, kind, f_plain, f_inc)
-
-    jobs = [(scheme, kind) for scheme in config.schemes for kind in error_kinds]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(lambda sk: one(*sk), jobs))
+        for kind, err in error_kinds.items():
+            f_plain = _iterate_mean_fidelity(gate_set.pulse_w, gate_set.pulse_d, config, err.realizations)
+            combined = err.combined_with(incoherence)
+            f_inc = _iterate_mean_fidelity(gate_set.pulse_w, gate_set.pulse_d, config, combined.realizations)
+            rows.append(SweepRow(scheme, kind, f_plain, f_inc))
     return rows
 
 

@@ -155,6 +155,18 @@ def test_simulate_unknown_scheme_exits_2_before_any_build(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_with_empty_flip_grid_exits_2_before_any_build(tmp_path, capsys):
+    cfg = toy_config(tmp_path / "out")
+    config = cfg.to_dict()
+    config["flip_scales"] = []
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'flip_scales'" in err
+    assert not (tmp_path / "out" / "pulses").exists()
+
+
 @pytest.fixture(scope="module")
 def cached_gates_copy(toy_workspace, tmp_path_factory):
     """Factory: a copy of the toy gate cache under a one-iteration config,

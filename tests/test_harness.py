@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ from conftest import toy_config
 from ddgrape.harness import (
     ExperimentConfig,
     TrajectoryRecord,
+    _record,
     build_protected_gates,
     ideal_records,
     rms_deviation,
@@ -17,8 +19,8 @@ from ddgrape.harness import (
     write_sweep_csv,
     write_trajectory_csv,
 )
-from ddgrape.grover import StageLabel
-from ddgrape.nmr import NoiseEnsemble
+from ddgrape.grover import HADAMARD2, StageLabel
+from ddgrape.nmr import NoiseEnsemble, evolve_ensemble, pseudopure_state, sequence_propagator
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +86,22 @@ def test_config_json_roundtrip(tmp_path):
 def test_config_rejects_spacing_larger_than_gate():
     with pytest.raises(ValueError):
         toy_config("/tmp", schemes=("xy:90:100",), n_segments_per_gate=50)
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"rfi_scales": ()}, "rfi_scales"),
+        ({"flip_scales": ()}, "flip_scales"),
+        ({"phase_offsets": ()}, "phase_offsets"),
+        ({"incoherence_points": 0}, "incoherence_points"),
+        ({"incoherence_range": (-10.0,)}, "incoherence_range"),
+        ({"incoherence_range": (-10.0, 0.0, 10.0)}, "incoherence_range"),
+    ],
+)
+def test_config_rejects_empty_noise_grids(tmp_path, override, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        toy_config(tmp_path, **override)
 
 
 def test_ideal_gate_trajectory_matches_analytic(tmp_path):
@@ -152,3 +170,30 @@ def test_csv_writers(tmp_path, toy_gates):
     spath = tmp_path / "sweep.csv"
     write_sweep_csv(spath, rows)
     assert spath.read_text().splitlines()[0] == "scheme,error_kind,mean_fidelity,mean_fidelity_incoherent"
+
+
+def _bits(rows):
+    return [repr(dataclasses.astuple(r)) for r in rows]
+
+
+def test_threaded_paths_are_bitwise_equal_to_serial(toy_gates, monkeypatch):
+    cfg, gates = toy_gates
+    scheme = "xy:90:20"
+    noise = cfg.incoherence_ensemble()
+    monkeypatch.setenv("DDGRAPE_THREADS", "1")
+    traj1, sweep1 = run_trajectory(cfg, scheme, noise, gates), robustness_sweep(cfg, gates)
+    monkeypatch.setenv("DDGRAPE_THREADS", "2")
+    traj2, sweep2 = run_trajectory(cfg, scheme, noise, gates), robustness_sweep(cfg, gates)
+    assert _bits(traj1) == _bits(traj2)
+    assert _bits(sweep1) == _bits(sweep2)
+
+    # The same trajectory from serial propagator calls and evolve_ensemble.
+    gate_set = gates[scheme]
+    members = noise.realizations
+    uw = [sequence_propagator(gate_set.pulse_w, cfg.system, real) for real in members]
+    ud = [sequence_propagator(gate_set.pulse_d, cfg.system, real) for real in members]
+    stages = [[HADAMARD2] * len(members)] + [uw, ud] * cfg.iterations
+    states = evolve_ensemble(pseudopure_state(cfg.epsilon), [real.weight for real in members], stages)
+    expected = [_record(cfg, r.stage, rho) for r, rho in zip(traj1, states)]
+    assert len(states) == len(traj1)
+    assert _bits(traj1) == _bits(expected)
