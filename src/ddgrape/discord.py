@@ -20,6 +20,7 @@ LN2 = math.log(2.0)
 COARSE_THETAS = 61
 COARSE_PHIS = 121
 REFINE_TOL_BITS = 1e-8
+ZOOM_STARTS = 3
 # Axes per kernel call on the coarse and brute-force grids: bigger blocks
 # make temporaries that fall out of cache and cost more per axis.
 KERNEL_CHUNK = 2048
@@ -129,12 +130,12 @@ _COARSE_PHI_GRID = np.linspace(0.0, 2.0 * math.pi, COARSE_PHIS, endpoint=False)
 _COARSE_AXES = _bloch_axes(_COARSE_THETA_GRID[:, None], _COARSE_PHI_GRID[None, :]).reshape(3, -1)
 
 
-def min_conditional_entropy(rho: np.ndarray, n_starts: int = 3):
+def min_conditional_entropy(rho: np.ndarray):
     """Grid + zoom minimization of the conditional entropy over bases.
 
-    Refines around the best few coarse-grid points (deterministic ordering:
-    lowest value, then lowest theta, then lowest phi) until the improvement
-    per round drops below 1e-8 bits.
+    Refines around up to ZOOM_STARTS non-adjacent coarse-grid points
+    (deterministic ordering: lowest value, then lowest theta, then lowest
+    phi) until the improvement per round drops below 1e-8 bits.
     """
     blocks = _measurement_blocks(rho)
     n = _COARSE_AXES.shape[1]
@@ -145,14 +146,14 @@ def min_conditional_entropy(rho: np.ndarray, n_starts: int = 3):
 
     starts = []
     order = np.argsort(values, kind="stable")
-    for flat in order[: max(n_starts * 8, n_starts)]:
+    for flat in order[: 8 * ZOOM_STARTS]:
         i, j = divmod(int(flat), COARSE_PHIS)
         th, ph = float(thetas[i]), float(phis[j])
         # Skip starts adjacent to one already chosen.
         if any(abs(th - t) < 0.2 and min(abs(ph - p), 2 * math.pi - abs(ph - p)) < 0.2 for t, p, _ in starts):
             continue
         starts.append((th, ph, values[flat]))
-        if len(starts) >= n_starts:
+        if len(starts) >= ZOOM_STARTS:
             break
 
     vals, ths, phs = _zoom(blocks, np.array(starts), thetas[1] - thetas[0], phis[1] - phis[0])

@@ -1,4 +1,5 @@
-"""Grover's search for N = 4: oracle, diffusion, ideal stage trajectory."""
+"""Grover's search for N = 4: oracle, diffusion, and the stage schedule of
+every trajectory, ideal or noisy."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ddgrape.core import ID4
-from ddgrape.nmr import pseudopure_state
+from ddgrape.nmr import evolve_ensemble, pseudopure_state
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 HADAMARD2 = np.kron(HADAMARD, HADAMARD)
@@ -61,25 +62,22 @@ def marked_probability(rho: np.ndarray, k0: int) -> float:
     return float(rho[k0, k0].real)
 
 
-def ideal_trajectory(spec: GroverSpec, epsilon: float | None = None):
+def grover_stages(spec: GroverSpec, rho0: np.ndarray, weights, uw, ud):
     """Stage-by-stage states: PPS, Hadamard, then alternating oracle/diffusion.
 
-    Starts from |00><00| (or the pseudopure state when epsilon is given);
-    returns a list of (StageLabel, DensityMatrix).
+    Every ensemble member starts in rho0 and is evolved by the ideal
+    Hadamard, then by its own oracle and diffusion propagators uw[m] and
+    ud[m] each round (nmr.evolve_ensemble). Returns a list of
+    (StageLabel, weight-averaged DensityMatrix).
     """
-    rho = pseudopure_state(1.0 if epsilon is None else epsilon)
-    stages = [(StageLabel("PPS"), rho)]
+    labels = [StageLabel("PPS"), StageLabel("H")]
+    labels += [StageLabel(kind, r) for r in range(1, spec.iterations + 1) for kind in ("W", "D")]
+    stages = [[HADAMARD2] * len(weights)] + [uw, ud] * spec.iterations
+    return list(zip(labels, evolve_ensemble(rho0, weights, stages)))
 
-    def apply(u, r):
-        return u @ r @ u.conj().T
 
-    rho = apply(HADAMARD2, rho)
-    stages.append((StageLabel("H"), rho))
-    u_w = oracle_unitary(spec.marked)
-    u_d = diffusion_unitary()
-    for r in range(1, spec.iterations + 1):
-        rho = apply(u_w, rho)
-        stages.append((StageLabel("W", r), rho))
-        rho = apply(u_d, rho)
-        stages.append((StageLabel("D", r), rho))
-    return stages
+def ideal_trajectory(spec: GroverSpec, epsilon: float | None = None):
+    """grover_stages with one noiseless member and the exact oracle and
+    diffusion, from |00><00| (or the pseudopure state when epsilon is given)."""
+    rho0 = pseudopure_state(1.0 if epsilon is None else epsilon)
+    return grover_stages(spec, rho0, [1.0], [oracle_unitary(spec.marked)], [diffusion_unitary()])

@@ -34,10 +34,10 @@ from ddgrape.grape import (
     robust_fidelity,
 )
 from ddgrape.grover import (
-    HADAMARD2,
     GroverSpec,
     StageLabel,
     diffusion_unitary,
+    grover_stages,
     ideal_trajectory,
     marked_probability,
     oracle_unitary,
@@ -46,7 +46,6 @@ from ddgrape.nmr import (
     NoiseEnsemble,
     PulseSequence,
     SystemParams,
-    evolve_ensemble,
     load_pulse,
     pseudopure_state,
     save_pulse,
@@ -54,6 +53,8 @@ from ddgrape.nmr import (
 )
 
 UNPROTECTED = "none"
+RESTARTS = 8
+CANDIDATES = 3
 
 
 def worker_count() -> int:
@@ -108,6 +109,8 @@ class ExperimentConfig:
             raise ValueError("config key 'incoherence_points' must be >= 1")
         if len(self.incoherence_range) != 2:
             raise ValueError("config key 'incoherence_range' must hold 2 values")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError(f"config key 'epsilon' must be in [0, 1], got {self.epsilon!r}")
         for s in self.schemes:
             if s != UNPROTECTED:
                 scheme = DDScheme.parse(s)
@@ -205,13 +208,19 @@ def _pulse_path(config: ExperimentConfig, scheme: str, target_label: str) -> Pat
     return base / f"{_scheme_tag(scheme)}__{target_label}__seed{config.seed}.txt"
 
 
+def _with_scheme_dd(pulse: PulseSequence, config: ExperimentConfig, scheme: str) -> PulseSequence:
+    """`pulse` with the scheme's DD pulses frozen in at their placed segments;
+    the unprotected scheme freezes nothing."""
+    if scheme == UNPROTECTED:
+        return pulse
+    return freeze_into(pulse, place_dd(config.n_segments_per_gate, DDScheme.parse(scheme)))
+
+
 def _build_one(config: ExperimentConfig, scheme: str, target: TargetGate, seed: int):
     initial = random_initial_pulse(
         config.n_segments_per_gate, config.dt, config.omega_max, config.amplitude_fraction, seed
     )
-    if scheme != UNPROTECTED:
-        placement = place_dd(config.n_segments_per_gate, DDScheme.parse(scheme))
-        initial = freeze_into(initial, placement)
+    initial = _with_scheme_dd(initial, config, scheme)
     opt = OptimizationConfig(
         max_iterations=config.max_iterations,
         fidelity_goal=config.fidelity_goal,
@@ -225,16 +234,15 @@ def _build_one(config: ExperimentConfig, scheme: str, target: TargetGate, seed: 
 def _check_cached_pulse(path, pulse: PulseSequence, config: ExperimentConfig, scheme: str) -> None:
     """Raise a ValueError naming `path` unless the cached pulse has the config's
     dt and segment count, and exactly the frozen mask and frozen amplitudes
-    that freeze_into(place_dd(...)) gives the scheme (no frozen segment for
-    the unprotected scheme). The system parameters are not checked."""
+    that _with_scheme_dd gives the scheme (no frozen segment for the
+    unprotected scheme). The system parameters are not checked."""
     if pulse.dt != config.dt or pulse.n_segments != config.n_segments_per_gate:
         raise ValueError(
             f"cached pulse file {path} has dt={pulse.dt!r} and {pulse.n_segments} segments, but the config "
             f"asks for dt={config.dt!r} and {config.n_segments_per_gate}; move it away to rebuild"
         )
-    expected = PulseSequence.zeros(config.n_segments_per_gate, config.dt, config.omega_max)
-    if scheme != UNPROTECTED:
-        expected = freeze_into(expected, place_dd(config.n_segments_per_gate, DDScheme.parse(scheme)))
+    zeros = PulseSequence.zeros(config.n_segments_per_gate, config.dt, config.omega_max)
+    expected = _with_scheme_dd(zeros, config, scheme)
     mask = expected.frozen
     if not (
         np.array_equal(pulse.frozen, mask)
@@ -247,13 +255,11 @@ def _check_cached_pulse(path, pulse: PulseSequence, config: ExperimentConfig, sc
         )
 
 
-def build_protected_gates(
-    config: ExperimentConfig, restarts: int = 8, candidates: int = 3, verbose: bool = False
-):
+def build_protected_gates(config: ExperimentConfig, verbose: bool = False):
     """Optimize (or load cached) U_W and U_D pulses for every scheme.
 
-    Restart seeds are derived deterministically. Attempts that reach the
-    fidelity goal become candidates; once `candidates` of them exist the
+    Up to RESTARTS attempts, with seeds derived deterministically. Attempts
+    that reach the fidelity goal become candidates; once CANDIDATES exist the
     most offset-robust one (mean fidelity over the incoherence ensemble)
     is kept. GRAPE solutions of equal RFI-averaged fidelity differ wildly
     in offset sensitivity, so this calibration-style selection is applied
@@ -277,7 +283,7 @@ def build_protected_gates(
             else:
                 best_pulse, best_report = None, None
                 reached = []
-                for attempt in range(restarts):
+                for attempt in range(RESTARTS):
                     seed = config.seed + 1000 * attempt + (0 if target.label == "uw" else 17)
                     pulse, report, _ = _build_one(config, scheme, target, seed)
                     if best_report is None or report.fidelity > best_report.fidelity:
@@ -285,7 +291,7 @@ def build_protected_gates(
                     if report.fidelity >= config.fidelity_goal:
                         score = robust_fidelity(pulse, target, config.system, incoherence).fidelity
                         reached.append((score, pulse, report))
-                        if len(reached) >= candidates:
+                        if len(reached) >= CANDIDATES:
                             break
                 if reached:
                     _, pulse, report = max(reached, key=lambda c: c[0])
@@ -309,41 +315,21 @@ def build_protected_gates(
     return gates
 
 
-def run_trajectory(
-    config: ExperimentConfig,
-    scheme: str,
-    noise: NoiseEnsemble,
-    gates: dict[str, GateSet] | None = None,
-    ideal_gates: bool = False,
-):
+def run_trajectory(config: ExperimentConfig, scheme: str, noise: NoiseEnsemble, gates: dict[str, GateSet]):
     """Stage-by-stage noisy Grover run with the scheme's engineered gates.
 
-    The state starts as the pseudopure state, the Hadamard stage is applied
-    as an ideal unitary, and each oracle/diffusion stage evolves every noise
-    realization through the corresponding pulse (quasi-static noise, fixed
-    per member across all gates). Records marked-state probability, discord,
-    and epsilon-scaled discord after every stage. With ideal_gates the run
-    has one noiseless member that applies the exact oracle and diffusion.
+    Each noise member's oracle and diffusion propagators are computed once
+    from the scheme's pulses (quasi-static noise, fixed per member across
+    all gates) and run through grover_stages from the pseudopure state.
+    Records marked-state probability, discord, and epsilon-scaled discord
+    after every stage.
     """
+    gate_set = gates[scheme]
+    weights = [real.weight for real in noise.realizations]
+    uw, ud = _member_propagators((gate_set.pulse_w, gate_set.pulse_d), config.system, noise.realizations)
     spec = GroverSpec(config.marked, config.iterations)
-
-    if ideal_gates:
-        weights = [1.0]
-        uw = [oracle_unitary(config.marked)]
-        ud = [diffusion_unitary()]
-    else:
-        if gates is None:
-            raise RuntimeError("gates not built; run build_protected_gates (CLI: ddgrape optimize) first")
-        gate_set = gates[scheme]
-        # Per-member gate propagators, computed once and reused each round.
-        weights = [real.weight for real in noise.realizations]
-        uw, ud = _member_propagators((gate_set.pulse_w, gate_set.pulse_d), config.system, noise.realizations)
-
-    stages = [[HADAMARD2] * len(weights)] + [uw, ud] * spec.iterations
-    labels = [StageLabel("PPS"), StageLabel("H")]
-    labels += [StageLabel(kind, r) for r in range(1, spec.iterations + 1) for kind in ("W", "D")]
-    states = evolve_ensemble(pseudopure_state(config.epsilon), weights, stages)
-    return [_record(config, label, rho) for label, rho in zip(labels, states)]
+    stages = grover_stages(spec, pseudopure_state(config.epsilon), weights, uw, ud)
+    return [_record(config, label, rho) for label, rho in stages]
 
 
 def ideal_records(config: ExperimentConfig):

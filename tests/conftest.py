@@ -79,3 +79,14 @@ def desk_gates():
     cfg = desk_config()
     GATE_CACHE.mkdir(exist_ok=True)
     return cfg, build_protected_gates(cfg)
+
+
+@pytest.fixture(scope="session")
+def toy_gates(tmp_path_factory):
+    """The toy config and a fresh in-process build of its gates, made once per
+    session for the harness and CLI tests; later builds of this config hit
+    its pulse cache."""
+    from ddgrape.harness import build_protected_gates
+
+    cfg = toy_config(tmp_path_factory.mktemp("toy") / "out")
+    return cfg, build_protected_gates(cfg)

@@ -19,11 +19,11 @@ from ddgrape.nmr import load_pulse
 
 
 @pytest.fixture(scope="module")
-def toy_workspace(tmp_path_factory):
-    """Config file plus a one-time gate build shared by the CLI tests."""
-    root = tmp_path_factory.mktemp("cli")
-    cfg = toy_config(root / "out")
-    path = root / "config.json"
+def toy_workspace(toy_gates):
+    """Config file for the session's toy gates; its optimize run loads them
+    from the pulse cache."""
+    cfg, _ = toy_gates
+    path = Path(cfg.output_dir).parent / "config.json"
     path.write_text(json.dumps(cfg.to_dict()))
     assert main(["optimize", "--config", str(path), "--quiet"]) == 0
     return cfg, path
@@ -155,15 +155,20 @@ def test_simulate_unknown_scheme_exits_2_before_any_build(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_with_empty_flip_grid_exits_2_before_any_build(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, key, value",
+    [(["sweep"], "flip_scales", []), (["simulate", "--scheme", "none"], "epsilon", 1.5)],
+    ids=["sweep-flip_scales", "simulate-epsilon"],
+)
+def test_sweep_with_empty_flip_grid_exits_2_before_any_build(tmp_path, capsys, command, key, value):
     cfg = toy_config(tmp_path / "out")
     config = cfg.to_dict()
-    config["flip_scales"] = []
+    config[key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert main(["sweep", "--config", str(path)]) == 2
+    assert main([*command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "'flip_scales'" in err
+    assert err.startswith("error:") and repr(key) in err
     assert not (tmp_path / "out" / "pulses").exists()
 
 

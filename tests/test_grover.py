@@ -3,13 +3,16 @@ import pytest
 
 from ddgrape.core import ID4, is_unitary
 from ddgrape.grover import (
+    HADAMARD2,
     GroverSpec,
+    StageLabel,
     diffusion_unitary,
     ideal_trajectory,
     marked_probability,
     oracle_unitary,
     uniform_superposition,
 )
+from ddgrape.nmr import pseudopure_state
 
 
 def test_uniform_superposition():
@@ -79,3 +82,34 @@ def test_pseudopure_trajectory_shares_unitaries():
     for (_, rho_pure), (_, rho_pp) in zip(pure, pp):
         expected = (1 - eps) * np.eye(4) / 4 + eps * rho_pure
         assert np.max(np.abs(rho_pp - expected)) < 1e-12
+
+
+def _reference_ideal_trajectory(spec, epsilon=None):
+    """The ideal run as a hand-written conjugation loop, one stage at a time."""
+    rho = pseudopure_state(1.0 if epsilon is None else epsilon)
+    stages = [(StageLabel("PPS"), rho)]
+
+    def apply(u, r):
+        return u @ r @ u.conj().T
+
+    rho = apply(HADAMARD2, rho)
+    stages.append((StageLabel("H"), rho))
+    u_w = oracle_unitary(spec.marked)
+    u_d = diffusion_unitary()
+    for r in range(1, spec.iterations + 1):
+        rho = apply(u_w, rho)
+        stages.append((StageLabel("W", r), rho))
+        rho = apply(u_d, rho)
+        stages.append((StageLabel("D", r), rho))
+    return stages
+
+
+@pytest.mark.parametrize("epsilon", [None, 1.0, 0.01])
+@pytest.mark.parametrize("iterations", [0, 2, 6])
+def test_ideal_trajectory_is_bitwise_the_conjugation_loop(epsilon, iterations):
+    spec = GroverSpec(1, iterations)
+    got = ideal_trajectory(spec, epsilon=epsilon)
+    want = _reference_ideal_trajectory(spec, epsilon=epsilon)
+    assert [label for label, _ in got] == [label for label, _ in want]
+    for (_, rho_got), (_, rho_want) in zip(got, want):
+        assert np.array_equal(rho_got, rho_want)

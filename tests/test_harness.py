@@ -23,12 +23,6 @@ from ddgrape.grover import HADAMARD2, StageLabel
 from ddgrape.nmr import NoiseEnsemble, evolve_ensemble, pseudopure_state, sequence_propagator
 
 
-@pytest.fixture(scope="module")
-def toy_gates(tmp_path_factory):
-    cfg = toy_config(tmp_path_factory.mktemp("toy"))
-    return cfg, build_protected_gates(cfg)
-
-
 def _mk_records(probs, discords):
     return [
         TrajectoryRecord(StageLabel("W", i), p, d, d)
@@ -97,21 +91,12 @@ def test_config_rejects_spacing_larger_than_gate():
         ({"incoherence_points": 0}, "incoherence_points"),
         ({"incoherence_range": (-10.0,)}, "incoherence_range"),
         ({"incoherence_range": (-10.0, 0.0, 10.0)}, "incoherence_range"),
+        ({"epsilon": 1.5}, "epsilon"),
     ],
 )
 def test_config_rejects_empty_noise_grids(tmp_path, override, key):
     with pytest.raises(ValueError, match=repr(key)):
         toy_config(tmp_path, **override)
-
-
-def test_ideal_gate_trajectory_matches_analytic(tmp_path):
-    cfg = toy_config(tmp_path)
-    records = run_trajectory(cfg, "none", NoiseEnsemble.identity(), ideal_gates=True)
-    ideal = ideal_records(cfg)
-    assert len(records) == 14
-    report = rms_deviation(records, ideal)
-    assert report.rms_prob < 1e-9
-    assert report.rms_discord < 1e-9
 
 
 def test_trajectory_records_within_bounds(toy_gates):
@@ -130,12 +115,6 @@ def test_trajectory_with_engineered_gates_tracks_ideal(toy_gates):
     # toy gates are only ~0.9-fidelity; just require qualitative agreement early on
     assert records[3].marked_prob > 0.7  # first diffusion stage amplifies the marked state
     assert abs(records[1].marked_prob - ideal[1].marked_prob) < 0.05
-
-
-def test_trajectory_requires_built_gates(tmp_path):
-    cfg = toy_config(tmp_path)
-    with pytest.raises(RuntimeError, match="optimize"):
-        run_trajectory(cfg, "none", NoiseEnsemble.identity(), gates=None)
 
 
 def test_robustness_sweep_table_shape_and_bounds(toy_gates):
