@@ -9,6 +9,7 @@ analyze (RMS deviations vs the ideal trajectory). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -65,8 +66,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_discord(args) -> int:
+    eps = args.epsilon
+    if eps is not None and not (math.isfinite(eps) and 0.0 < eps <= 1.0):
+        raise ValueError(f"--epsilon must be a finite value in (0, 1], got {eps!r}")
     rho = load_state(args.state)
-    result = quantum_discord(rho, epsilon=args.epsilon)
+    result = quantum_discord(rho, epsilon=eps)
     print(f"discord={result.discord:.6f}")
     print(f"mutual_information={result.mutual_information:.6f}")
     print(f"classical_correlation={result.classical_correlation:.6f}")

@@ -69,6 +69,16 @@ def test_discord_command_epsilon_scaling(tmp_path, capsys):
     assert "scaled_discord=0.000000" in out
 
 
+@pytest.mark.parametrize("epsilon", ["1.5", "0", "-1", "nan"])
+def test_discord_epsilon_outside_unit_interval_exits_2(tmp_path, capsys, epsilon):
+    path = tmp_path / "mixed.txt"
+    save_state(path, np.eye(4, dtype=complex) / 4)
+    assert main(["discord", "--state", str(path), "--epsilon", epsilon]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "--epsilon" in captured.err
+    assert captured.out == ""
+
+
 def test_optimize_writes_gates_csv_and_manifest(toy_workspace):
     cfg, _ = toy_workspace
     out = cfg.output_dir

@@ -17,7 +17,7 @@ from ddgrape.grape import (
     random_initial_pulse,
     robust_fidelity,
 )
-from ddgrape.grover import diffusion_unitary
+from ddgrape.grover import diffusion_unitary, oracle_unitary
 from ddgrape.harness import ExperimentConfig
 from ddgrape.nmr import (
     FX,
@@ -73,6 +73,25 @@ def test_robust_fidelity_symmetric_rf_pair_on_resonant_rotation():
     report = robust_fidelity(pulse, target, params, ens)
     f1, f2 = (f for _, f in report.per_realization)
     assert f1 == pytest.approx(f2, abs=1e-12)
+
+
+def test_sequence_propagator_scores_desk_pulses_as_robust_fidelity_does(desk_gates):
+    # sequence_propagator (the sweep and trajectories) exponentiates in each
+    # segment's control-phase frame with a real eigh; robust_fidelity (gate
+    # builds and gates.csv) keeps the complex eigenbasis. Both must score the
+    # ten shipped pulses alike under every RFI member.
+    cfg, gates = desk_gates
+    rfi = cfg.rfi_ensemble()
+    targets = {"uw": TargetGate(oracle_unitary(cfg.marked), "uw"), "ud": TargetGate(diffusion_unitary(), "ud")}
+    checked = 0
+    for gate_set in gates.values():
+        for label, pulse in (("uw", gate_set.pulse_w), ("ud", gate_set.pulse_d)):
+            target = targets[label]
+            for real, f in robust_fidelity(pulse, target, cfg.system, rfi).per_realization:
+                u = sequence_propagator(pulse, cfg.system, real)
+                assert abs(gate_fidelity(u, target.unitary) - f) <= 1e-12
+                checked += 1
+    assert checked == 10 * len(rfi.realizations)
 
 
 def test_gradient_zero_for_all_frozen_pulse():

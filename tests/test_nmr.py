@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_unitary
 from ddgrape.core import ID4, collective_operator, is_unitary, unitary_exp
+from ddgrape.dd import DDScheme, freeze_into, place_dd
 from ddgrape.nmr import (
     NoiseEnsemble,
     NoiseRealization,
@@ -16,6 +18,7 @@ from ddgrape.nmr import (
     ordered_product,
     pseudopure_state,
     save_pulse,
+    segment_hamiltonians,
     sequence_propagator,
     system_hamiltonian,
 )
@@ -106,6 +109,43 @@ def test_sequence_propagator_against_bruteforce_product():
         h = system_hamiltonian(params) + control_hamiltonian(ox, oy)
         expected = unitary_exp(h, pulse.dt) @ expected
     assert np.max(np.abs(sequence_propagator(pulse, params) - expected)) < 1e-10
+
+
+def _dd_pulse_with_idle_segments(k=400, seed=5):
+    """Random shaped segments, frozen xy:90:100 DD pulses along +-x and +-y,
+    and seven free segments with zero amplitude."""
+    rng = np.random.default_rng(seed)
+    omega_max = TWO_PI * 1e5
+    lim = 0.2 * omega_max
+    pulse = PulseSequence(rng.uniform(-lim, lim, k), rng.uniform(-lim, lim, k), np.zeros(k, bool), 5.1e-6, omega_max)
+    pulse = freeze_into(pulse, place_dd(k, DDScheme.parse("xy:90:100")))
+    idle = rng.choice(np.flatnonzero(~pulse.frozen), 7, replace=False)
+    ox, oy = pulse.omega_x.copy(), pulse.omega_y.copy()
+    ox[idle] = oy[idle] = 0.0
+    return pulse.with_amplitudes(ox, oy)
+
+
+def test_sequence_propagator_matches_expm_left_fold():
+    params = SystemParams(436.0, -436.0, 70.0)
+    pulse = _dd_pulse_with_idle_segments()
+    noise = NoiseRealization(rf_scale=1.04, offset_shift=-6.5, flip_scale=0.97, phase_offset=0.31)
+    expected = ID4.copy()
+    for h in segment_hamiltonians(pulse, params, noise):
+        expected = scipy.linalg.expm(-1j * h * pulse.dt) @ expected
+    assert np.max(np.abs(sequence_propagator(pulse, params, noise) - expected)) <= 1e-13
+
+
+def test_phase_error_is_a_collective_z_rotation_of_the_propagator():
+    # H_S' commutes with F_z, so a phase error phi conjugates the whole
+    # product by R_z(phi) = exp(-i phi F_z) = diag(e^{-i phi}, 1, 1, e^{i phi}).
+    params = SystemParams(436.0, -436.0, 70.0)
+    pulse = _dd_pulse_with_idle_segments()
+    phi = 0.31
+    base = dict(rf_scale=1.04, offset_shift=-6.5, flip_scale=0.97)
+    u0 = sequence_propagator(pulse, params, NoiseRealization(**base))
+    u_phi = sequence_propagator(pulse, params, NoiseRealization(phase_offset=phi, **base))
+    r = np.exp(-1j * phi * np.array([1.0, 0.0, 0.0, -1.0]))
+    assert np.max(np.abs(u_phi - r[:, None] * u0 * r.conj()[None, :])) <= 1e-13
 
 
 def _evolve(rho0, pulses, params, ensemble):
