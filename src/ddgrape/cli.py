@@ -4,64 +4,95 @@ Subcommands: optimize (build protected gates), simulate (noisy Grover
 trajectory), discord (single-state discord), sweep (robustness table),
 analyze (RMS deviations vs the ideal trajectory). Exit codes: 0 success,
 1 usage error, 2 numerical/validation failure.
+
+Every config command returns one table, and `run_config_command` alone
+writes it as a CSV into the config's `output_dir`, followed by
+`run_manifest.json`. Floats are written as their `repr`, so every value
+reads back exactly and a rerun writes byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import ddgrape
 from ddgrape.discord import load_state, quantum_discord
 from ddgrape.harness import (
     ExperimentConfig,
+    _scheme_tag,
     build_protected_gates,
     ideal_records,
     rms_deviation,
     robustness_sweep,
     run_trajectory,
-    write_gates_csv,
-    write_manifest,
-    write_rms_csv,
-    write_sweep_csv,
-    write_trajectory_csv,
 )
 from ddgrape.nmr import NoiseEnsemble
 
 
 def _noise_ensemble(config: ExperimentConfig, name: str) -> NoiseEnsemble:
-    if name == "none":
-        return NoiseEnsemble.identity()
-    if name == "incoherence":
-        return config.incoherence_ensemble()
-    raise ValueError(f"unknown noise ensemble {name!r} (expected none|incoherence)")
+    return config.incoherence_ensemble() if name == "incoherence" else NoiseEnsemble.identity()
 
 
-def cmd_optimize(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_optimize(args, config: ExperimentConfig):
     gates = build_protected_gates(config, verbose=not args.quiet)
-    write_gates_csv(out / "gates.csv", gates)
-    write_manifest(config)
-    return 0
+    rows = [
+        (scheme, label, report.fidelity, int(gs.warning))
+        for scheme, gs in gates.items()
+        for label, report in (("uw", gs.report_w), ("ud", gs.report_d))
+    ]
+    return "gates.csv", "scheme,target,mean_fidelity,warning", rows
 
 
-def cmd_simulate(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
+def cmd_simulate(args, config: ExperimentConfig):
     noise = _noise_ensemble(config, args.noise)
     if args.scheme not in config.schemes:
         raise ValueError(f"scheme {args.scheme!r} is not in the config's schemes {list(config.schemes)}")
-    gates = build_protected_gates(config, verbose=False)
-    records = run_trajectory(config, args.scheme, noise, gates)
+    records = run_trajectory(config, args.scheme, noise, build_protected_gates(config))
+    rows = [(r.stage, r.marked_prob, r.discord, r.scaled_discord) for r in records]
+    header = "stage,marked_prob,discord_bits,scaled_discord"
+    return f"trajectory__{_scheme_tag(args.scheme)}__{args.noise}.csv", header, rows
+
+
+def cmd_sweep(args, config: ExperimentConfig):
+    rows = [
+        (r.scheme, r.error_kind, r.mean_fidelity, r.mean_fidelity_incoherent)
+        for r in robustness_sweep(config, build_protected_gates(config))
+    ]
+    return "sweep.csv", "scheme,error_kind,mean_fidelity,mean_fidelity_incoherent", rows
+
+
+def cmd_analyze(args, config: ExperimentConfig):
+    noise = _noise_ensemble(config, args.noise)
+    gates = build_protected_gates(config)
+    ideal = ideal_records(config)
+    rows = []
+    for scheme in config.schemes:
+        records = run_trajectory(config, scheme, noise, gates)
+        r = rms_deviation(records, ideal, normalize=not args.no_normalize, scheme=scheme)
+        rows.append((scheme, r.rms_discord, r.rms_prob, int(args.noise == "incoherence")))
+    return f"rms__{args.noise}.csv", "scheme,rms_discord,rms_prob,incoherence", rows
+
+
+def run_config_command(args) -> int:
+    """Load the config, run the command, and write its table and then
+    `run_manifest.json` into the config's `output_dir`."""
+    config = ExperimentConfig.from_json(args.config)
+    name, header, rows = args.table(args, config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tag = args.scheme.replace(":", "-")
-    path = out / f"trajectory__{tag}__{args.noise}.csv"
-    write_trajectory_csv(path, records)
-    write_manifest(config)
-    print(f"wrote {path}")
+    lines = [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    (out / name).write_text("\n".join([header, *lines]) + "\n")
+    versions = {"ddgrape": ddgrape.__version__, "numpy": np.__version__}
+    manifest = {"config": config.to_dict(), "seed": config.seed, "versions": versions}
+    (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    if args.table is not cmd_optimize:  # optimize prints each gate's fidelity instead
+        print(f"wrote {out / name}")
     return 0
 
 
@@ -79,36 +110,6 @@ def cmd_discord(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
-    gates = build_protected_gates(config, verbose=False)
-    rows = robustness_sweep(config, gates)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(out / "sweep.csv", rows)
-    write_manifest(config)
-    print(f"wrote {out / 'sweep.csv'}")
-    return 0
-
-
-def cmd_analyze(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
-    noise = _noise_ensemble(config, args.noise)
-    gates = build_protected_gates(config, verbose=False)
-    ideal = ideal_records(config)
-    reports = []
-    for scheme in config.schemes:
-        records = run_trajectory(config, scheme, noise, gates)
-        reports.append(rms_deviation(records, ideal, normalize=not args.no_normalize, scheme=scheme))
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"rms__{args.noise}.csv"
-    write_rms_csv(path, reports, incoherence=args.noise == "incoherence")
-    write_manifest(config)
-    print(f"wrote {path}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddgrape",
@@ -119,13 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="build protected gate pulses for every configured scheme")
     p.add_argument("--config", required=True)
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_optimize)
+    p.set_defaults(func=run_config_command, table=cmd_optimize)
 
     p = sub.add_parser("simulate", help="run a noisy Grover trajectory for one scheme")
     p.add_argument("--config", required=True)
     p.add_argument("--scheme", required=True)
     p.add_argument("--noise", default="none", choices=["none", "incoherence"])
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=run_config_command, table=cmd_simulate)
 
     p = sub.add_parser("discord", help="quantum discord of a state file")
     p.add_argument("--state", required=True)
@@ -134,13 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="flip/phase robustness sweep over all schemes")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=run_config_command, table=cmd_sweep)
 
     p = sub.add_parser("analyze", help="RMS deviation of trajectories vs the ideal run")
     p.add_argument("--config", required=True)
     p.add_argument("--noise", default="none", choices=["none", "incoherence"])
     p.add_argument("--no-normalize", action="store_true")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=run_config_command, table=cmd_analyze)
 
     return parser
 

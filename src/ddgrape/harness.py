@@ -109,6 +109,12 @@ class ExperimentConfig:
             raise ValueError("config key 'incoherence_points' must be >= 1")
         if len(self.incoherence_range) != 2:
             raise ValueError("config key 'incoherence_range' must hold 2 values")
+        for key in ("dt", "omega_max", "free_amplitude_bound", "rfi_scales", "flip_scales"):
+            if not all(math.isfinite(v) and v > 0 for v in np.atleast_1d(getattr(self, key))):
+                raise ValueError(f"config key {key!r} must be finite and > 0, got {getattr(self, key)!r}")
+        for key in ("phase_offsets", "incoherence_range"):
+            if not all(math.isfinite(v) for v in getattr(self, key)):
+                raise ValueError(f"config key {key!r} must be finite, got {getattr(self, key)!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"config key 'epsilon' must be in [0, 1], got {self.epsilon!r}")
         for s in self.schemes:
@@ -394,17 +400,18 @@ def _member_propagators(pulses, params: SystemParams, realizations):
 def _iterate_mean_fidelity(uw_pulse, ud_pulse, config: ExperimentConfig, noise_members):
     """F_bar = (1/6) sum_j F(U_PG^j, U_G^j), weight-averaged over noise members."""
     u_g = diffusion_unitary() @ oracle_unitary(config.marked)
+    ideal_powers = [np.eye(4, dtype=complex)]
+    for _ in range(config.iterations):
+        ideal_powers.append(u_g @ ideal_powers[-1])
     uws, uds = _member_propagators((uw_pulse, ud_pulse), config.system, noise_members)
     total = 0.0
     for real, uw, ud in zip(noise_members, uws, uds):
         u_pg = ud @ uw
         acc_p = np.eye(4, dtype=complex)
-        acc_t = np.eye(4, dtype=complex)
         mean = 0.0
-        for _ in range(config.iterations):
+        for u_g_j in ideal_powers[1:]:
             acc_p = u_pg @ acc_p
-            acc_t = u_g @ acc_t
-            mean += gate_fidelity(acc_p, acc_t)
+            mean += gate_fidelity(acc_p, u_g_j)
         total += real.weight * mean / config.iterations
     return total
 
@@ -426,50 +433,3 @@ def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
             f_inc = _iterate_mean_fidelity(gate_set.pulse_w, gate_set.pulse_d, config, combined.realizations)
             rows.append(SweepRow(scheme, kind, f_plain, f_inc))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# CSV / manifest output
-
-def write_trajectory_csv(path, records) -> None:
-    with open(path, "w") as fh:
-        fh.write("stage,marked_prob,discord_bits,scaled_discord\n")
-        for r in records:
-            fh.write(f"{r.stage},{r.marked_prob!r},{r.discord!r},{r.scaled_discord!r}\n")
-
-
-def write_sweep_csv(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("scheme,error_kind,mean_fidelity,mean_fidelity_incoherent\n")
-        for r in rows:
-            fh.write(f"{r.scheme},{r.error_kind},{r.mean_fidelity!r},{r.mean_fidelity_incoherent!r}\n")
-
-
-def write_rms_csv(path, reports, incoherence: bool) -> None:
-    with open(path, "w") as fh:
-        fh.write("scheme,rms_discord,rms_prob,incoherence\n")
-        for r in reports:
-            fh.write(f"{r.scheme},{r.rms_discord!r},{r.rms_prob!r},{1 if incoherence else 0}\n")
-
-
-def write_gates_csv(path, gates) -> None:
-    with open(path, "w") as fh:
-        fh.write("scheme,target,mean_fidelity,warning\n")
-        for scheme, gs in gates.items():
-            fh.write(f"{scheme},uw,{gs.report_w.fidelity!r},{1 if gs.warning else 0}\n")
-            fh.write(f"{scheme},ud,{gs.report_d.fidelity!r},{1 if gs.warning else 0}\n")
-
-
-def write_manifest(config: ExperimentConfig) -> None:
-    import ddgrape
-
-    out = Path(config.output_dir) / "run_manifest.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "config": config.to_dict(),
-        "seed": config.seed,
-        "versions": {"ddgrape": ddgrape.__version__, "numpy": np.__version__},
-    }
-    with open(out, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")

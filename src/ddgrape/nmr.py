@@ -71,6 +71,8 @@ class NoiseRealization:
     def __post_init__(self):
         if self.rf_scale <= 0:
             raise ValueError("rf_scale must be > 0")
+        if self.flip_scale <= 0:
+            raise ValueError("flip_scale must be > 0")
         if self.weight < 0:
             raise ValueError("weight must be >= 0")
 

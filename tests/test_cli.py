@@ -112,6 +112,7 @@ def test_sweep_command(toy_workspace, capsys):
     assert main(["sweep", "--config", str(config_path)]) == 0
     capsys.readouterr()
     rows = open(f"{cfg.output_dir}/sweep.csv").read().strip().splitlines()
+    assert rows[0] == "scheme,error_kind,mean_fidelity,mean_fidelity_incoherent"
     assert len(rows) == 1 + 2 * len(cfg.schemes)
 
 
@@ -124,6 +125,40 @@ def test_analyze_command(toy_workspace, capsys):
     assert len(rows) == 1 + len(cfg.schemes)
     for row in rows[1:]:
         assert row.endswith(",1")
+
+
+FLOAT_COLUMNS = {
+    "mean_fidelity", "marked_prob", "discord_bits", "scaled_discord",
+    "mean_fidelity_incoherent", "rms_discord", "rms_prob",
+}
+FLAG_COLUMNS = {"warning", "incoherence"}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        (["optimize", "--quiet"], "gates.csv"),
+        (["simulate", "--scheme", "xy:90:20", "--noise", "incoherence"], "trajectory__xy-90-20__incoherence.csv"),
+        (["sweep"], "sweep.csv"),
+        (["analyze", "--no-normalize"], "rms__none.csv"),
+    ],
+    ids=["optimize", "simulate", "sweep", "analyze"],
+)
+def test_config_command_tables_round_trip(toy_workspace, capsys, command, name):
+    # Every float reads back exactly, flags are 0 or 1, and every command but
+    # optimize announces its one file.
+    cfg, config_path = toy_workspace
+    assert main([*command, "--config", str(config_path)]) == 0
+    path = Path(cfg.output_dir) / name
+    assert capsys.readouterr().out == ("" if command[0] == "optimize" else f"wrote {path}\n")
+    header, *rows = path.read_text().splitlines()
+    assert rows
+    for row in rows:
+        for column, cell in zip(header.split(","), row.split(","), strict=True):
+            if column in FLOAT_COLUMNS:
+                assert repr(float(cell)) == cell
+            elif column in FLAG_COLUMNS:
+                assert cell in ("0", "1")
 
 
 def test_simulate_rerun_is_byte_identical(toy_workspace):
@@ -167,8 +202,12 @@ def test_simulate_unknown_scheme_exits_2_before_any_build(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, key, value",
-    [(["sweep"], "flip_scales", []), (["simulate", "--scheme", "none"], "epsilon", 1.5)],
-    ids=["sweep-flip_scales", "simulate-epsilon"],
+    [
+        (["sweep"], "flip_scales", []),
+        (["simulate", "--scheme", "none"], "epsilon", 1.5),
+        (["sweep"], "flip_scales", [math.nan]),
+    ],
+    ids=["sweep-flip_scales", "simulate-epsilon", "sweep-flip_scales-nan"],
 )
 def test_sweep_with_empty_flip_grid_exits_2_before_any_build(tmp_path, capsys, command, key, value):
     cfg = toy_config(tmp_path / "out")

@@ -16,8 +16,6 @@ from ddgrape.harness import (
     robustness_sweep,
     run_trajectory,
     worker_count,
-    write_sweep_csv,
-    write_trajectory_csv,
 )
 from ddgrape.grover import HADAMARD2, StageLabel
 from ddgrape.nmr import NoiseEnsemble, evolve_ensemble, pseudopure_state, sequence_propagator
@@ -92,6 +90,17 @@ def test_config_rejects_spacing_larger_than_gate():
         ({"incoherence_range": (-10.0,)}, "incoherence_range"),
         ({"incoherence_range": (-10.0, 0.0, 10.0)}, "incoherence_range"),
         ({"epsilon": 1.5}, "epsilon"),
+        ({"dt": math.nan}, "dt"),
+        ({"dt": 0.0}, "dt"),
+        ({"omega_max": math.nan}, "omega_max"),
+        ({"omega_max": -1.0}, "omega_max"),
+        ({"free_amplitude_bound": math.inf}, "free_amplitude_bound"),
+        ({"rfi_scales": (1.0, 0.0)}, "rfi_scales"),
+        ({"rfi_scales": (math.inf,)}, "rfi_scales"),
+        ({"flip_scales": (-1.0,)}, "flip_scales"),
+        ({"flip_scales": (math.nan,)}, "flip_scales"),
+        ({"phase_offsets": (math.inf,)}, "phase_offsets"),
+        ({"incoherence_range": (math.nan, 1.0)}, "incoherence_range"),
     ],
 )
 def test_config_rejects_empty_noise_grids(tmp_path, override, key):
@@ -135,20 +144,6 @@ def test_build_is_deterministic_and_cached(toy_gates, tmp_path):
     for scheme in cfg.schemes:
         assert np.array_equal(gates[scheme].pulse_w.omega_x, again[scheme].pulse_w.omega_x)
         assert gates[scheme].report_w.fidelity == again[scheme].report_w.fidelity
-
-
-def test_csv_writers(tmp_path, toy_gates):
-    cfg, gates = toy_gates
-    records = run_trajectory(cfg, "none", NoiseEnsemble.identity(), gates)
-    tpath = tmp_path / "traj.csv"
-    write_trajectory_csv(tpath, records)
-    lines = tpath.read_text().strip().splitlines()
-    assert lines[0] == "stage,marked_prob,discord_bits,scaled_discord"
-    assert len(lines) == 15
-    rows = robustness_sweep(cfg, gates)
-    spath = tmp_path / "sweep.csv"
-    write_sweep_csv(spath, rows)
-    assert spath.read_text().splitlines()[0] == "scheme,error_kind,mean_fidelity,mean_fidelity_incoherent"
 
 
 def _bits(rows):

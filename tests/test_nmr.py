@@ -233,6 +233,12 @@ def test_ensemble_weights_must_normalize():
         NoiseEnsemble((NoiseRealization(weight=0.6), NoiseRealization(weight=0.6)))
 
 
+@pytest.mark.parametrize("field", ["rf_scale", "flip_scale"])
+def test_noise_realization_rejects_non_positive_scales(field):
+    with pytest.raises(ValueError, match=field):
+        NoiseRealization(**{field: 0.0})
+
+
 def test_pulse_file_roundtrip(tmp_path):
     rng = np.random.default_rng(41)
     pulse = PulseSequence(
