@@ -47,8 +47,8 @@ class OptimizationConfig:
     rfi_ensemble: NoiseEnsemble = field(default_factory=NoiseEnsemble.identity)
     omega_max: float = 2.0 * math.pi * 1.0e5
     # Optional tighter per-component bound for the non-frozen amplitudes
-    # (shaped low-power segments vs hard DD pulses); None = omega_max only.
-    free_bound: float | None = None
+    # (shaped low-power segments vs hard DD pulses); inf = omega_max only.
+    free_bound: float = math.inf
 
     def __post_init__(self):
         if not 0.0 < self.fidelity_goal <= 1.0:
@@ -75,15 +75,12 @@ def robust_fidelity(
     params: SystemParams,
     ensemble: NoiseEnsemble,
 ) -> FidelityReport:
-    """Ensemble-weighted mean gate fidelity, per-realization values retained."""
+    """Ensemble-mean gate fidelity, per-realization values retained."""
     per = []
-    mean = 0.0
     for real in ensemble.realizations:
         us = batched_unitary_exp(segment_hamiltonians(pulse, params, real), pulse.dt)
-        f = gate_fidelity(ordered_product(us), target.unitary)
-        per.append((real, f))
-        mean += real.weight * f
-    return FidelityReport(fidelity=mean, per_realization=per)
+        per.append((real, gate_fidelity(ordered_product(us), target.unitary)))
+    return FidelityReport(fidelity=ensemble.mean(f for _, f in per), per_realization=per)
 
 
 # Matrices (segments x realizations) per block of the forward pass and the
@@ -137,7 +134,9 @@ def _fidelity_and_gradient(pulse, target, params, realizations):
         np.matmul(chain[k + 1], chain[k], out=chain[k])
     suffix = chain[1:]
 
-    # Control derivative directions under each realization's noise transform.
+    # Control derivative directions under each realization's noise transform,
+    # kept in this term order: apply_noise_to_amplitudes would round them
+    # differently, and L-BFGS amplifies that into a different pulse.
     dx, dy = [], []
     for real in realizations:
         scale = real.rf_scale * real.flip_scale
@@ -220,24 +219,12 @@ def fidelity_gradient(
     return gx[0], gy[0]
 
 
-def _ensemble_fidelity_and_gradient(pulse, target, params, ensemble):
-    fids, rx, ry = _fidelity_and_gradient(pulse, target, params, ensemble.realizations)
-    mean_f = 0.0
-    gx = np.zeros(pulse.n_segments)
-    gy = np.zeros(pulse.n_segments)
-    for r, real in enumerate(ensemble.realizations):
-        mean_f += real.weight * fids[r]
-        gx += real.weight * rx[r]
-        gy += real.weight * ry[r]
-    return mean_f, gx, gy
-
-
-def clip_amplitudes(pulse: PulseSequence, free_bound: float | None = None) -> PulseSequence:
+def clip_amplitudes(pulse: PulseSequence, free_bound: float = math.inf) -> PulseSequence:
     """Rescale non-frozen segments whose amplitude norm exceeds the bound.
 
     The bound is omega_max, or free_bound when that is tighter (hard DD
     pulses stay untouched either way since they are frozen)."""
-    bound = pulse.omega_max if free_bound is None else min(pulse.omega_max, free_bound)
+    bound = min(pulse.omega_max, free_bound)
     norm = np.hypot(pulse.omega_x, pulse.omega_y)
     over = (norm > bound) & ~pulse.frozen
     if not np.any(over):
@@ -297,9 +284,8 @@ def optimize(
         return pulse.with_amplitudes(ox, oy)
 
     def fun(x):
-        p = expand(x)
-        f, gx, gy = _ensemble_fidelity_and_gradient(p, target, params, ensemble)
-        return -f, -np.concatenate([gx[free], gy[free]])
+        fids, gx, gy = _fidelity_and_gradient(expand(x), target, params, ensemble.realizations)
+        return -ensemble.mean(fids), -np.concatenate([ensemble.mean(gx)[free], ensemble.mean(gy)[free]])
 
     class _GoalReached(Exception):
         pass
@@ -331,9 +317,7 @@ def optimize(
 
     x0 = np.concatenate([pulse.omega_x[free], pulse.omega_y[free]])
     # Componentwise bound keeps the amplitude norm within omega_max.
-    lim = pulse.omega_max / math.sqrt(2.0)
-    if config.free_bound is not None:
-        lim = min(lim, config.free_bound / math.sqrt(2.0))
+    lim = min(pulse.omega_max / math.sqrt(2.0), config.free_bound / math.sqrt(2.0))
     bounds = [(-lim, lim)] * (2 * n_free)
     try:
         res = minimize(

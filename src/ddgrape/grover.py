@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ddgrape.core import ID4
-from ddgrape.nmr import evolve_ensemble, pseudopure_state
+from ddgrape.nmr import NoiseEnsemble, evolve_ensemble, pseudopure_state
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 HADAMARD2 = np.kron(HADAMARD, HADAMARD)
@@ -62,22 +62,22 @@ def marked_probability(rho: np.ndarray, k0: int) -> float:
     return float(rho[k0, k0].real)
 
 
-def grover_stages(spec: GroverSpec, rho0: np.ndarray, weights, uw, ud):
+def grover_stages(spec: GroverSpec, rho0: np.ndarray, ensemble: NoiseEnsemble, uw, ud):
     """Stage-by-stage states: PPS, Hadamard, then alternating oracle/diffusion.
 
     Every ensemble member starts in rho0 and is evolved by the ideal
     Hadamard, then by its own oracle and diffusion propagators uw[m] and
     ud[m] each round (nmr.evolve_ensemble). Returns a list of
-    (StageLabel, weight-averaged DensityMatrix).
+    (StageLabel, ensemble-mean DensityMatrix).
     """
     labels = [StageLabel("PPS"), StageLabel("H")]
     labels += [StageLabel(kind, r) for r in range(1, spec.iterations + 1) for kind in ("W", "D")]
-    stages = [[HADAMARD2] * len(weights)] + [uw, ud] * spec.iterations
-    return list(zip(labels, evolve_ensemble(rho0, weights, stages)))
+    stages = [[HADAMARD2] * len(ensemble.realizations)] + [uw, ud] * spec.iterations
+    return list(zip(labels, evolve_ensemble(rho0, ensemble, stages)))
 
 
 def ideal_trajectory(spec: GroverSpec, epsilon: float | None = None):
     """grover_stages with one noiseless member and the exact oracle and
     diffusion, from |00><00| (or the pseudopure state when epsilon is given)."""
     rho0 = pseudopure_state(1.0 if epsilon is None else epsilon)
-    return grover_stages(spec, rho0, [1.0], [oracle_unitary(spec.marked)], [diffusion_unitary()])
+    return grover_stages(spec, rho0, NoiseEnsemble.identity(), [oracle_unitary(spec.marked)], [diffusion_unitary()])

@@ -44,6 +44,7 @@ from ddgrape.grover import (
 )
 from ddgrape.nmr import (
     NoiseEnsemble,
+    NoiseRealization,
     PulseSequence,
     SystemParams,
     load_pulse,
@@ -110,10 +111,10 @@ class ExperimentConfig:
         if len(self.incoherence_range) != 2:
             raise ValueError("config key 'incoherence_range' must hold 2 values")
         for key in ("dt", "omega_max", "free_amplitude_bound", "rfi_scales", "flip_scales"):
-            if not all(math.isfinite(v) and v > 0 for v in np.atleast_1d(getattr(self, key))):
+            if not all(_finite(v) and v > 0 for v in np.atleast_1d(getattr(self, key))):
                 raise ValueError(f"config key {key!r} must be finite and > 0, got {getattr(self, key)!r}")
         for key in ("phase_offsets", "incoherence_range"):
-            if not all(math.isfinite(v) for v in getattr(self, key)):
+            if not all(_finite(v) for v in getattr(self, key)):
                 raise ValueError(f"config key {key!r} must be finite, got {getattr(self, key)!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"config key 'epsilon' must be in [0, 1], got {self.epsilon!r}")
@@ -122,13 +123,29 @@ class ExperimentConfig:
                 scheme = DDScheme.parse(s)
                 if self.n_segments_per_gate < scheme.spacing:
                     raise ValueError(f"n_segments_per_gate below spacing of scheme {s!r}")
+                # dd.freeze_into's bound on each frozen DD pulse, and a NaN flip.
+                amp = math.radians(scheme.flip_deg) / self.dt
+                if not abs(amp) <= self.omega_max * (1 + 1e-12):
+                    raise ValueError(
+                        f"DD pulse of scheme {s!r} needs {amp:.4g} rad/s, not within omega_max "
+                        f"{self.omega_max:.4g}; change config key 'dt' or 'omega_max'"
+                    )
 
     def rfi_ensemble(self) -> NoiseEnsemble:
-        return NoiseEnsemble.rf_inhomogeneity(self.rfi_scales)
+        """RF-amplitude miscalibration grid, the GRAPE objective's ensemble."""
+        return NoiseEnsemble.uniform(NoiseRealization(rf_scale=s) for s in self.rfi_scales)
 
     def incoherence_ensemble(self) -> NoiseEnsemble:
-        lo, hi = self.incoherence_range
-        return NoiseEnsemble.incoherence(lo, hi, self.incoherence_points)
+        """Common-mode offset grid modeling static field inhomogeneity."""
+        shifts = np.linspace(*self.incoherence_range, self.incoherence_points)
+        return NoiseEnsemble.uniform(NoiseRealization(offset_shift=float(s)) for s in shifts)
+
+    def error_ensembles(self) -> dict[str, NoiseEnsemble]:
+        """The robustness sweep's flip-angle and phase error grids, by kind."""
+        return {
+            "flip": NoiseEnsemble.uniform(NoiseRealization(flip_scale=float(s)) for s in self.flip_scales),
+            "phase": NoiseEnsemble.uniform(NoiseRealization(phase_offset=float(p)) for p in self.phase_offsets),
+        }
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -154,6 +171,14 @@ class ExperimentConfig:
             return ExperimentConfig.from_dict(json.load(fh))
 
 
+def _finite(v) -> bool:
+    """math.isfinite, and False for an int too large for a float."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _parse_value(key: str, value, default):
     """`value` checked against the type of the field's default; lists become
     tuples and the system object becomes SystemParams."""
@@ -175,6 +200,8 @@ def _parse_value(key: str, value, default):
     expected = (int, float) if isinstance(default, float) else type(default)
     if isinstance(value, bool) or not isinstance(value, expected):
         raise ValueError(f"config key {key!r} must be of type {type(default).__name__}")
+    if isinstance(default, float) and isinstance(value, int) and not _finite(value):
+        raise ValueError(f"config key {key!r} is too large for a float")
     return value
 
 
@@ -331,10 +358,9 @@ def run_trajectory(config: ExperimentConfig, scheme: str, noise: NoiseEnsemble, 
     after every stage.
     """
     gate_set = gates[scheme]
-    weights = [real.weight for real in noise.realizations]
     uw, ud = _member_propagators((gate_set.pulse_w, gate_set.pulse_d), config.system, noise.realizations)
     spec = GroverSpec(config.marked, config.iterations)
-    stages = grover_stages(spec, pseudopure_state(config.epsilon), weights, uw, ud)
+    stages = grover_stages(spec, pseudopure_state(config.epsilon), noise, uw, ud)
     return [_record(config, label, rho) for label, rho in stages]
 
 
@@ -412,6 +438,7 @@ def _iterate_mean_fidelity(uw_pulse, ud_pulse, config: ExperimentConfig, noise_m
         for u_g_j in ideal_powers[1:]:
             acc_p = u_pg @ acc_p
             mean += gate_fidelity(acc_p, u_g_j)
+        # (w * m) / n, not NoiseEnsemble.mean's w * (m / n): they round differently.
         total += real.weight * mean / config.iterations
     return total
 
@@ -419,10 +446,7 @@ def _iterate_mean_fidelity(uw_pulse, ud_pulse, config: ExperimentConfig, noise_m
 def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
     """Mean Grover-iterate fidelity per scheme under flip/phase error grids,
     without and with the incoherence ensemble."""
-    error_kinds = {
-        "flip": NoiseEnsemble.flip_errors(config.flip_scales),
-        "phase": NoiseEnsemble.phase_errors(config.phase_offsets),
-    }
+    error_kinds = config.error_ensembles()
     incoherence = config.incoherence_ensemble()
     rows = []
     for scheme in config.schemes:

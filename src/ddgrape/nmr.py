@@ -16,6 +16,7 @@ change in the gradient's rounding into a different optimized pulse.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -98,27 +99,18 @@ class NoiseEnsemble:
         return NoiseEnsemble((IDENTITY_NOISE,))
 
     @staticmethod
-    def rf_inhomogeneity(scales=(0.90, 0.95, 1.00, 1.05, 1.10)) -> "NoiseEnsemble":
-        """Equally weighted RF-amplitude miscalibration grid (default +/-10%)."""
-        w = 1.0 / len(scales)
-        return NoiseEnsemble(tuple(NoiseRealization(rf_scale=s, weight=w) for s in scales))
+    def uniform(members) -> "NoiseEnsemble":
+        """The members with equal weights 1/n, replacing their own weights."""
+        members = tuple(members)
+        return NoiseEnsemble(tuple(dataclasses.replace(m, weight=1.0 / len(members)) for m in members))
 
-    @staticmethod
-    def incoherence(low_hz: float = -10.0, high_hz: float = 10.0, points: int = 21) -> "NoiseEnsemble":
-        """Uniform common-mode offset grid modeling static field inhomogeneity."""
-        shifts = np.linspace(low_hz, high_hz, points)
-        w = 1.0 / points
-        return NoiseEnsemble(tuple(NoiseRealization(offset_shift=float(s), weight=w) for s in shifts))
-
-    @staticmethod
-    def flip_errors(scales) -> "NoiseEnsemble":
-        w = 1.0 / len(scales)
-        return NoiseEnsemble(tuple(NoiseRealization(flip_scale=float(s), weight=w) for s in scales))
-
-    @staticmethod
-    def phase_errors(offsets_rad) -> "NoiseEnsemble":
-        w = 1.0 / len(offsets_rad)
-        return NoiseEnsemble(tuple(NoiseRealization(phase_offset=float(p), weight=w) for p in offsets_rad))
+    def mean(self, values):
+        """sum_r w_r * values[r] over values given in member order, added
+        left to right, so floats and arrays alike get a deterministic result."""
+        total = 0.0
+        for real, value in zip(self.realizations, values, strict=True):
+            total = total + real.weight * value
+        return total
 
     def combined_with(self, other: "NoiseEnsemble") -> "NoiseEnsemble":
         """Outer product of two ensembles (independent error sources)."""
@@ -269,27 +261,19 @@ def sequence_propagator(
     return ordered_product(us)
 
 
-def evolve_ensemble(rho0: np.ndarray, weights, stages) -> list[np.ndarray]:
-    """Weight-averaged states of an ensemble evolved stage by stage.
+def evolve_ensemble(rho0: np.ndarray, ensemble: NoiseEnsemble, stages) -> list[np.ndarray]:
+    """Ensemble-mean states of the members evolved stage by stage.
 
     Every member starts in rho0; stage s conjugates member m's state by
     stages[s][m]. A member keeps its own propagators through all stages
-    (quasi-static noise). Returns the weighted mean state before the first
-    stage and after each stage, accumulated in member order so results are
-    deterministic.
+    (quasi-static noise). Returns ensemble.mean of the states before the
+    first stage and after each stage.
     """
-
-    def average(states):
-        out = np.zeros((4, 4), dtype=complex)
-        for w, rho in zip(weights, states):
-            out += w * rho
-        return out
-
-    states = [np.array(rho0, dtype=complex) for _ in weights]
-    averaged = [average(states)]
+    states = [np.array(rho0, dtype=complex) for _ in ensemble.realizations]
+    averaged = [ensemble.mean(states)]
     for us in stages:
         states = [u @ rho @ u.conj().T for u, rho in zip(us, states)]
-        averaged.append(average(states))
+        averaged.append(ensemble.mean(states))
     return averaged
 
 

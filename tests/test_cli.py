@@ -181,7 +181,12 @@ def test_state_that_is_not_a_density_matrix_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config, key",
-    [({"bogus_key": 1}, "bogus_key"), ({"system": {"offset1": 1.0}}, "offset2")],
+    [
+        ({"bogus_key": 1}, "bogus_key"),
+        ({"system": {"offset1": 1.0}}, "offset2"),
+        ({"dt": 10**400}, "dt"),
+        ({"system": {"offset1": 10**400, "offset2": 0.0, "coupling": 0.0}}, "system.offset1"),
+    ],
 )
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, config, key):
     path = tmp_path / "config.json"
@@ -206,8 +211,9 @@ def test_simulate_unknown_scheme_exits_2_before_any_build(tmp_path, capsys):
         (["sweep"], "flip_scales", []),
         (["simulate", "--scheme", "none"], "epsilon", 1.5),
         (["sweep"], "flip_scales", [math.nan]),
+        (["optimize"], "dt", 1e-6),
     ],
-    ids=["sweep-flip_scales", "simulate-epsilon", "sweep-flip_scales-nan"],
+    ids=["sweep-flip_scales", "simulate-epsilon", "sweep-flip_scales-nan", "optimize-dt"],
 )
 def test_sweep_with_empty_flip_grid_exits_2_before_any_build(tmp_path, capsys, command, key, value):
     cfg = toy_config(tmp_path / "out")

@@ -9,7 +9,6 @@ from ddgrape.dd import DDScheme, freeze_into, place_dd
 from ddgrape.grape import (
     OptimizationConfig,
     TargetGate,
-    _ensemble_fidelity_and_gradient,
     _fidelity_and_gradient,
     fidelity_gradient,
     gate_fidelity,
@@ -59,7 +58,7 @@ def test_robust_fidelity_identity_and_convexity():
     assert single.fidelity == pytest.approx(
         gate_fidelity(sequence_propagator(pulse, params), target.unitary), abs=1e-12
     )
-    report = robust_fidelity(pulse, target, params, NoiseEnsemble.rf_inhomogeneity())
+    report = robust_fidelity(pulse, target, params, ExperimentConfig().rfi_ensemble())
     assert report.fidelity <= max(f for _, f in report.per_realization) + 1e-12
 
 
@@ -283,7 +282,8 @@ def test_ensemble_gradient_bitwise_equals_per_realization_oracle():
         mean_f += real.weight * f
         gx += real.weight * rx
         gy += real.weight * ry
-    got_f, got_x, got_y = _ensemble_fidelity_and_gradient(pulse, target, cfg.system, MIXED_ENSEMBLE)
+    fids, rx, ry = _fidelity_and_gradient(pulse, target, cfg.system, MIXED_ENSEMBLE.realizations)
+    got_f, got_x, got_y = (MIXED_ENSEMBLE.mean(values) for values in (fids, rx, ry))
     assert got_f == mean_f
     assert np.array_equal(got_x, gx) and np.array_equal(got_y, gy)
     assert not got_x[pulse.frozen].any() and got_x[~pulse.frozen].any()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ddgrape.harness import (
     worker_count,
 )
 from ddgrape.grover import HADAMARD2, StageLabel
-from ddgrape.nmr import NoiseEnsemble, evolve_ensemble, pseudopure_state, sequence_propagator
+from ddgrape.nmr import NoiseEnsemble, NoiseRealization, evolve_ensemble, pseudopure_state, sequence_propagator
 
 
 def _mk_records(probs, discords):
@@ -101,11 +102,36 @@ def test_config_rejects_spacing_larger_than_gate():
         ({"flip_scales": (math.nan,)}, "flip_scales"),
         ({"phase_offsets": (math.inf,)}, "phase_offsets"),
         ({"incoherence_range": (math.nan, 1.0)}, "incoherence_range"),
+        ({"dt": 10**400}, "dt"),
     ],
 )
 def test_config_rejects_empty_noise_grids(tmp_path, override, key):
     with pytest.raises(ValueError, match=repr(key)):
         toy_config(tmp_path, **override)
+
+
+@pytest.mark.parametrize("scheme, dt", [("xy:90:20", 1e-6), ("xy:-90:20", 1e-6), ("xy:nan:20", 5.1e-6)])
+def test_config_rejects_a_dd_pulse_above_omega_max(tmp_path, scheme, dt):
+    # A 90-degree pulse at dt = 1 us needs (pi/2) / dt = 1.57e6 rad/s > omega_max.
+    with pytest.raises(ValueError, match=re.escape(repr(scheme)) + ".*'dt'"):
+        toy_config(tmp_path, schemes=("none", scheme), dt=dt)
+    toy_config(tmp_path, dt=1e-6, omega_max=math.pi / 2 / 1e-6)
+
+
+def test_config_ensembles_equal_the_former_factory_grids():
+    # The realizations NoiseEnsemble's rf_inhomogeneity, incoherence,
+    # flip_errors and phase_errors factories gave for the default config.
+    cfg = ExperimentConfig()
+    rfi = tuple(NoiseRealization(rf_scale=s, weight=0.2) for s in (0.90, 0.95, 1.00, 1.05, 1.10))
+    incoherence = tuple(NoiseRealization(offset_shift=float(s), weight=1 / 21) for s in range(-10, 11))
+    flip = tuple(NoiseRealization(flip_scale=s, weight=1 / 3) for s in (0.95, 1.00, 1.05))
+    phase = tuple(NoiseRealization(phase_offset=p, weight=1 / 3) for p in (-0.17, 0.0, 0.17))
+    assert cfg.rfi_ensemble().realizations == rfi
+    assert cfg.incoherence_ensemble().realizations == incoherence
+    grids = cfg.error_ensembles()
+    assert list(grids) == ["flip", "phase"]
+    assert grids["flip"].realizations == flip
+    assert grids["phase"].realizations == phase
 
 
 def test_trajectory_records_within_bounds(toy_gates):
@@ -167,7 +193,7 @@ def test_threaded_paths_are_bitwise_equal_to_serial(toy_gates, monkeypatch):
     uw = [sequence_propagator(gate_set.pulse_w, cfg.system, real) for real in members]
     ud = [sequence_propagator(gate_set.pulse_d, cfg.system, real) for real in members]
     stages = [[HADAMARD2] * len(members)] + [uw, ud] * cfg.iterations
-    states = evolve_ensemble(pseudopure_state(cfg.epsilon), [real.weight for real in members], stages)
+    states = evolve_ensemble(pseudopure_state(cfg.epsilon), noise, stages)
     expected = [_record(cfg, r.stage, rho) for r, rho in zip(traj1, states)]
     assert len(states) == len(traj1)
     assert _bits(traj1) == _bits(expected)

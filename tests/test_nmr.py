@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -150,9 +151,8 @@ def test_phase_error_is_a_collective_z_rotation_of_the_propagator():
 
 def _evolve(rho0, pulses, params, ensemble):
     """evolve_ensemble with each member's propagator for every pulse."""
-    weights = [real.weight for real in ensemble.realizations]
     stages = [[sequence_propagator(p, params, real) for real in ensemble.realizations] for p in pulses]
-    return evolve_ensemble(rho0, weights, stages)
+    return evolve_ensemble(rho0, ensemble, stages)
 
 
 def test_evolve_ensemble_identity_reduces_to_conjugation():
@@ -194,10 +194,10 @@ def test_evolve_ensemble_incoherence_grid_dephasing_envelope():
     params = SystemParams(0, 0, 0)
     t = 20e-3
     pulse = PulseSequence.zeros(1, t, 1e6)
-    ens = NoiseEnsemble.incoherence(-10, 10, 21)
+    shifts = np.linspace(-10, 10, 21)
+    ens = NoiseEnsemble.uniform(NoiseRealization(offset_shift=s) for s in shifts)
     out = _evolve(_plus_zero_state(), [pulse], params, ens)[-1]
     # oracle: discrete average of the accumulated phases over the grid
-    shifts = np.linspace(-10, 10, 21)
     envelope = np.mean(np.cos(TWO_PI * shifts * t))
     assert out[0, 2].real == pytest.approx(0.5 * envelope, abs=1e-12)
     # populations never move under free evolution
@@ -211,7 +211,7 @@ def test_evolve_ensemble_preserves_trace_each_stage():
         PulseSequence(rng.uniform(-5e4, 5e4, 8), rng.uniform(-5e4, 5e4, 8), np.zeros(8, bool), 5.1e-6, 2e5)
         for _ in range(3)
     ]
-    ens = NoiseEnsemble.rf_inhomogeneity()
+    ens = NoiseEnsemble.uniform(NoiseRealization(rf_scale=s) for s in (0.90, 0.95, 1.00, 1.05, 1.10))
     out = _evolve(pseudopure_state(0.5), pulses, params, ens)
     assert len(out) == 4
     for rho in out:
@@ -226,6 +226,34 @@ def test_pseudopure_state_examples():
     assert np.allclose(evals, [0.2575, 0.2475, 0.2475, 0.2475], atol=1e-14)
     with pytest.raises(ValueError):
         pseudopure_state(1.5)
+
+
+def test_uniform_replaces_member_weights_with_one_over_n():
+    members = (
+        NoiseRealization(rf_scale=0.9, weight=0.7),
+        NoiseRealization(offset_shift=2.0, weight=0.0),
+        NoiseRealization(flip_scale=1.1, phase_offset=0.2),
+    )
+    ens = NoiseEnsemble.uniform(iter(members))
+    assert ens.realizations == tuple(dataclasses.replace(m, weight=1 / 3) for m in members)
+    with pytest.raises(ValueError, match="at least one"):
+        NoiseEnsemble.uniform([])
+
+
+def test_mean_is_the_left_fold_in_member_order():
+    ens = NoiseEnsemble.uniform(NoiseRealization(offset_shift=s) for s in (0.0, 1.0, 2.0))
+    w = 1 / 3
+    values = [1e16, 1.0, -1e16]
+    fold = ((0.0 + w * values[0]) + w * values[1]) + w * values[2]
+    # Order matters here: the exactly rounded sum is 1/3, the fold gives 0.5.
+    assert fold != math.fsum(w * v for v in values)
+    assert ens.mean(values) == fold
+    rng = np.random.default_rng(5)
+    arrays = [rng.normal(size=(4, 4)) * 10.0**e for e in (16, 0, 16)]
+    arrays[2] = -arrays[0] + 1j * arrays[1]
+    assert np.array_equal(ens.mean(arrays), ((0.0 + w * arrays[0]) + w * arrays[1]) + w * arrays[2])
+    with pytest.raises(ValueError):
+        ens.mean(values[:2])
 
 
 def test_ensemble_weights_must_normalize():
