@@ -64,15 +64,29 @@ class DDPlacement:
         return len(self.indices)
 
 
+def complete_blocks(n_segments: int, scheme: DDScheme) -> int:
+    """Whole blocks of the scheme in n_segments, of which at least one must fit."""
+    if not n_segments >= scheme.spacing:
+        raise ValueError(f"n_segments={n_segments} smaller than spacing={scheme.spacing}")
+    return n_segments // scheme.spacing
+
+
+def hard_pulse_amplitude(flip_deg: float, dt: float, omega_max: float) -> float:
+    """beta/dt (rad/s) of a one-segment flip, for dt and omega_max as a PulseSequence
+    holds them; it must be finite and within omega_max (1e-12 relative slack)."""
+    amp = math.radians(flip_deg) / dt
+    if not (math.isfinite(amp) and abs(amp) <= omega_max * (1 + 1e-12)):
+        raise ValueError(f"DD amplitude {amp:.4g} rad/s is not within omega_max {omega_max:.4g}")
+    return amp
+
+
 def place_dd(n_segments: int, scheme: DDScheme) -> DDPlacement:
     """One pulse per complete block, at index b*spacing + spacing//2.
 
     A trailing partial block receives no pulse; phases cycle through the
     scheme pattern.
     """
-    if n_segments < scheme.spacing:
-        raise ValueError(f"n_segments={n_segments} smaller than spacing={scheme.spacing}")
-    n_blocks = n_segments // scheme.spacing
+    n_blocks = complete_blocks(n_segments, scheme)
     indices = tuple(b * scheme.spacing + scheme.spacing // 2 for b in range(n_blocks))
     phases = tuple(scheme.phases[b % len(scheme.phases)] for b in range(n_blocks))
     flips = tuple(scheme.flip_deg for _ in range(n_blocks))
@@ -95,11 +109,7 @@ def freeze_into(pulse: PulseSequence, placement: DDPlacement) -> PulseSequence:
     for idx, flip, phase in zip(placement.indices, placement.flips_deg, placement.phases):
         if not 0 <= idx < out.n_segments:
             raise ValueError(f"placement index {idx} out of bounds")
-        amp = math.radians(flip) / out.dt
-        if amp > out.omega_max * (1 + 1e-12):
-            raise ValueError(
-                f"DD amplitude {amp:.4g} rad/s exceeds omega_max {out.omega_max:.4g}"
-            )
+        amp = hard_pulse_amplitude(flip, out.dt, out.omega_max)
         out.omega_x[idx] = amp if phase == "x" else 0.0
         out.omega_y[idx] = amp if phase == "y" else 0.0
         out.frozen[idx] = True

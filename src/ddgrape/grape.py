@@ -51,8 +51,12 @@ class OptimizationConfig:
     free_bound: float = math.inf
 
     def __post_init__(self):
+        if not self.max_iterations >= 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
         if not 0.0 < self.fidelity_goal <= 1.0:
-            raise ValueError("fidelity_goal must be in (0, 1]")
+            raise ValueError(f"fidelity_goal must be in (0, 1], got {self.fidelity_goal!r}")
+        if not self.free_bound > 0:
+            raise ValueError(f"free_bound must be > 0, got {self.free_bound!r}")
 
 
 @dataclass
@@ -239,12 +243,13 @@ def random_initial_pulse(
 ) -> PulseSequence:
     """Seeded uniform amplitudes in [-f*omega_max, +f*omega_max] per component."""
     if not 0.0 < amplitude_fraction <= 1.0:
-        raise ValueError("amplitude_fraction must be in (0, 1]")
+        raise ValueError(f"amplitude_fraction must be in (0, 1], got {amplitude_fraction!r}")
+    pulse = PulseSequence.zeros(n_segments, dt, omega_max)
     rng = np.random.default_rng(seed)
     lim = amplitude_fraction * omega_max
     ox = rng.uniform(-lim, lim, n_segments)
     oy = rng.uniform(-lim, lim, n_segments)
-    return PulseSequence(ox, oy, np.zeros(n_segments, dtype=bool), dt, omega_max)
+    return pulse.with_amplitudes(ox, oy)
 
 
 def optimize(

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ddgrape.dd import DDScheme, freeze_into, place_dd
+from ddgrape.dd import DDScheme, complete_blocks, freeze_into, hard_pulse_amplitude, place_dd
 from ddgrape.discord import quantum_discord
 from ddgrape.grape import (
     FidelityReport,
@@ -101,35 +101,50 @@ class ExperimentConfig:
     max_iterations: int = 1500
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        for key in ("rfi_scales", "flip_scales", "phase_offsets"):
-            if not getattr(self, key):
-                raise ValueError(f"config key {key!r} must not be empty")
-        if self.incoherence_points < 1:
-            raise ValueError("config key 'incoherence_points' must be >= 1")
+        # First the rules that no library object holds.
+        if not self.iterations >= 1:
+            raise ValueError(f"config key 'iterations' must be >= 1, got {self.iterations!r}")
         if len(self.incoherence_range) != 2:
             raise ValueError("config key 'incoherence_range' must hold 2 values")
-        for key in ("dt", "omega_max", "free_amplitude_bound", "rfi_scales", "flip_scales"):
-            if not all(_finite(v) and v > 0 for v in np.atleast_1d(getattr(self, key))):
-                raise ValueError(f"config key {key!r} must be finite and > 0, got {getattr(self, key)!r}")
-        for key in ("phase_offsets", "incoherence_range"):
-            if not all(_finite(v) for v in getattr(self, key)):
-                raise ValueError(f"config key {key!r} must be finite, got {getattr(self, key)!r}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"config key 'epsilon' must be in [0, 1], got {self.epsilon!r}")
+        if not _finite(self.free_amplitude_bound):
+            raise ValueError(f"config key 'free_amplitude_bound' must be finite, got {self.free_amplitude_bound!r}")
+        # Every restart seed, seed + 1000 * attempt (+ 17), must be >= 0 for numpy.
+        if not self.seed >= 0:
+            raise ValueError(f"config key 'seed' must be >= 0, got {self.seed!r}")
+        # Every other value is checked by building from it what a run builds.
+        self._build(("rfi_scales",), ExperimentConfig.rfi_ensemble)
+        self._build(("incoherence_range", "incoherence_points"), ExperimentConfig.incoherence_ensemble)
+        self._build(("flip_scales", "phase_offsets"), ExperimentConfig.error_ensembles)
+        self._build(("max_iterations", "fidelity_goal", "free_amplitude_bound"), ExperimentConfig.optimization)
+        self._build(("marked",), ExperimentConfig.grover_spec)
+        self._build(("epsilon",), lambda c: pseudopure_state(c.epsilon))
+        self._build(
+            ("n_segments_per_gate", "dt", "omega_max", "amplitude_fraction"),
+            lambda c: random_initial_pulse(c.n_segments_per_gate, c.dt, c.omega_max, c.amplitude_fraction, c.seed),
+        )
         for s in self.schemes:
             if s != UNPROTECTED:
-                scheme = DDScheme.parse(s)
-                if self.n_segments_per_gate < scheme.spacing:
-                    raise ValueError(f"n_segments_per_gate below spacing of scheme {s!r}")
-                # dd.freeze_into's bound on each frozen DD pulse, and a NaN flip.
-                amp = math.radians(scheme.flip_deg) / self.dt
-                if not abs(amp) <= self.omega_max * (1 + 1e-12):
-                    raise ValueError(
-                        f"DD pulse of scheme {s!r} needs {amp:.4g} rad/s, not within omega_max "
-                        f"{self.omega_max:.4g}; change config key 'dt' or 'omega_max'"
-                    )
+                d, where = DDScheme.parse(s), f"scheme {s!r}: "
+                self._build(("n_segments_per_gate",), lambda c: complete_blocks(c.n_segments_per_gate, d), where)
+                self._build(("dt", "omega_max"), lambda c: hard_pulse_amplitude(d.flip_deg, c.dt, c.omega_max), where)
+
+    def _build(self, keys, build, where=""):
+        """Run build(self). A ValueError or OverflowError becomes a ValueError
+        naming those of `keys` that fail the build alone, with every other
+        key at its default (all of them when none does)."""
+        try:
+            build(self)
+        except (ValueError, OverflowError) as exc:
+            at_fault = [k for k in keys if _fails(build, k, getattr(self, k))] or keys
+            raise ValueError(f"{where}config key {' or '.join(map(repr, at_fault))}: {exc}") from exc
+
+    def optimization(self) -> OptimizationConfig:
+        return OptimizationConfig(
+            self.max_iterations, self.fidelity_goal, self.rfi_ensemble(), self.omega_max, self.free_amplitude_bound
+        )
+
+    def grover_spec(self) -> GroverSpec:
+        return GroverSpec(self.marked, self.iterations)
 
     def rfi_ensemble(self) -> NoiseEnsemble:
         """RF-amplitude miscalibration grid, the GRAPE objective's ensemble."""
@@ -177,6 +192,18 @@ def _finite(v) -> bool:
         return math.isfinite(v)
     except OverflowError:
         return False
+
+
+def _fails(build, key: str, value) -> bool:
+    """Whether build raises a ValueError or OverflowError on the default
+    config with `key` set to `value`."""
+    trial = ExperimentConfig()
+    setattr(trial, key, value)
+    try:
+        build(trial)
+    except (ValueError, OverflowError):
+        return True
+    return False
 
 
 def _parse_value(key: str, value, default):
@@ -254,14 +281,7 @@ def _build_one(config: ExperimentConfig, scheme: str, target: TargetGate, seed: 
         config.n_segments_per_gate, config.dt, config.omega_max, config.amplitude_fraction, seed
     )
     initial = _with_scheme_dd(initial, config, scheme)
-    opt = OptimizationConfig(
-        max_iterations=config.max_iterations,
-        fidelity_goal=config.fidelity_goal,
-        rfi_ensemble=config.rfi_ensemble(),
-        omega_max=config.omega_max,
-        free_bound=config.free_amplitude_bound,
-    )
-    return optimize(initial, target, config.system, opt)
+    return optimize(initial, target, config.system, config.optimization())
 
 
 def _check_cached_pulse(path, pulse: PulseSequence, config: ExperimentConfig, scheme: str) -> None:
@@ -359,14 +379,14 @@ def run_trajectory(config: ExperimentConfig, scheme: str, noise: NoiseEnsemble, 
     """
     gate_set = gates[scheme]
     uw, ud = _member_propagators((gate_set.pulse_w, gate_set.pulse_d), config.system, noise.realizations)
-    spec = GroverSpec(config.marked, config.iterations)
+    spec = config.grover_spec()
     stages = grover_stages(spec, pseudopure_state(config.epsilon), noise, uw, ud)
     return [_record(config, label, rho) for label, rho in stages]
 
 
 def ideal_records(config: ExperimentConfig):
     """Analytic trajectory in TrajectoryRecord form (reference for RMS)."""
-    spec = GroverSpec(config.marked, config.iterations)
+    spec = config.grover_spec()
     return [_record(config, label, rho) for label, rho in ideal_trajectory(spec, epsilon=config.epsilon)]
 
 

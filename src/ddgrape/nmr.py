@@ -70,12 +70,9 @@ class NoiseRealization:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.rf_scale <= 0:
-            raise ValueError("rf_scale must be > 0")
-        if self.flip_scale <= 0:
-            raise ValueError("flip_scale must be > 0")
-        if self.weight < 0:
-            raise ValueError("weight must be >= 0")
+        values = (self.rf_scale, self.offset_shift, self.flip_scale, self.phase_offset, self.weight)
+        if not (all(map(math.isfinite, values)) and self.rf_scale > 0 and self.flip_scale > 0 and self.weight >= 0):
+            raise ValueError(f"fields must be finite, rf_scale and flip_scale > 0, weight >= 0; got {self!r}")
 
 
 IDENTITY_NOISE = NoiseRealization()
@@ -91,7 +88,7 @@ class NoiseEnsemble:
         if not self.realizations:
             raise ValueError("ensemble must contain at least one realization")
         total = sum(r.weight for r in self.realizations)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"ensemble weights sum to {total}, expected 1")
 
     @staticmethod
@@ -147,12 +144,15 @@ class PulseSequence:
         self.omega_x = np.asarray(self.omega_x, dtype=float)
         self.omega_y = np.asarray(self.omega_y, dtype=float)
         self.frozen = np.asarray(self.frozen, dtype=bool)
+        if not (self.omega_x.ndim == 1 and self.omega_x.shape == self.omega_y.shape == self.frozen.shape):
+            raise ValueError("amplitude and mask arrays must be 1-D and of equal length")
         if self.omega_x.size == 0:
             raise ValueError("pulse must have at least one segment")
-        if not (self.omega_x.shape == self.omega_y.shape == self.frozen.shape):
-            raise ValueError("amplitude and mask arrays must have equal length")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        if not (math.isfinite(self.dt) and self.dt > 0 and math.isfinite(self.omega_max) and self.omega_max > 0):
+            raise ValueError(f"dt={self.dt!r} and omega_max={self.omega_max!r} must be finite and > 0")
+        bad = ~(np.isfinite(self.omega_x) & np.isfinite(self.omega_y))
+        if np.any(bad):
+            raise ValueError(f"segment {int(np.argmax(bad))} has a non-finite amplitude")
 
     @property
     def n_segments(self) -> int:
@@ -339,13 +339,8 @@ def _parse_pulse(path) -> PulseSequence:
     dt, omega_max = header["dt_seconds"], header["omega_max_rad_s"]
     if dt is None or omega_max is None:
         raise ValueError("missing dt_seconds / omega_max_rad_s header")
-    if not (math.isfinite(dt) and dt > 0 and math.isfinite(omega_max) and omega_max > 0):
-        raise ValueError(f"dt_seconds={dt!r} and omega_max_rad_s={omega_max!r} must be finite and > 0")
-    ox, oy = np.array(ox), np.array(oy)
-    bad = ~(np.isfinite(ox) & np.isfinite(oy))
-    if np.any(bad):
-        raise ValueError(f"row {int(np.argmax(bad))} has a non-finite amplitude")
-    over = np.hypot(ox, oy) > omega_max * (1 + 1e-12)
+    pulse = PulseSequence(np.array(ox), np.array(oy), np.array(fr, dtype=bool), dt, omega_max)
+    over = np.hypot(pulse.omega_x, pulse.omega_y) > omega_max * (1 + 1e-12)
     if np.any(over):
         raise ValueError(f"row {int(np.argmax(over))} has an amplitude norm above omega_max_rad_s={omega_max!r}")
-    return PulseSequence(ox, oy, np.array(fr, dtype=bool), dt, omega_max)
+    return pulse

@@ -212,8 +212,17 @@ def test_simulate_unknown_scheme_exits_2_before_any_build(tmp_path, capsys):
         (["simulate", "--scheme", "none"], "epsilon", 1.5),
         (["sweep"], "flip_scales", [math.nan]),
         (["optimize"], "dt", 1e-6),
+        (["optimize"], "max_iterations", -3),
+        (["optimize"], "seed", -1),
     ],
-    ids=["sweep-flip_scales", "simulate-epsilon", "sweep-flip_scales-nan", "optimize-dt"],
+    ids=[
+        "sweep-flip_scales",
+        "simulate-epsilon",
+        "sweep-flip_scales-nan",
+        "optimize-dt",
+        "optimize-max_iterations",
+        "optimize-seed",
+    ],
 )
 def test_sweep_with_empty_flip_grid_exits_2_before_any_build(tmp_path, capsys, command, key, value):
     cfg = toy_config(tmp_path / "out")
@@ -269,6 +278,20 @@ def test_simulate_rejects_cached_pulses_built_for_another_config(cached_gates_co
     assert captured.out == ""
     # nothing was rebuilt or written
     assert {p.name: p.read_bytes() for p in pulse_path.parent.iterdir()} == pulses
+    assert sorted(p.name for p in config_path.parent.iterdir()) == ["config.json", "pulses"]
+
+
+@pytest.mark.parametrize("key, value", [("fidelity_goal", 1.5), ("amplitude_fraction", 2.0), ("marked", 7)])
+def test_optimize_on_a_cache_hit_rejects_a_bad_setting(cached_gates_copy, capsys, key, value):
+    # The cached pulses alone would let these through: nothing is optimized.
+    config_path, pulse_path = cached_gates_copy()
+    config = json.loads(config_path.read_text())
+    config[key] = value
+    config_path.write_text(json.dumps(config))
+    assert main(["optimize", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and repr(key) in captured.err
+    assert captured.out == ""
     assert sorted(p.name for p in config_path.parent.iterdir()) == ["config.json", "pulses"]
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_unitary
 from ddgrape.core import ID4, SIGMA_X, global_phase_distance
@@ -9,6 +11,7 @@ from ddgrape.dd import (
     DDPlacement,
     DDScheme,
     freeze_into,
+    hard_pulse_amplitude,
     ideal_dd_propagator,
     is_cyclic,
     place_dd,
@@ -84,6 +87,26 @@ def test_freeze_into_rejects_amplitude_above_omega_max():
     pulse = PulseSequence.zeros(8, 5.1e-6, 1e5)  # pi/dt > omega_max
     with pytest.raises(ValueError):
         freeze_into(pulse, place_dd(8, DDScheme(180, ("x",), 4)))
+
+
+@pytest.mark.parametrize("scheme", ["xy:nan:20", "xy:-200:20"])
+def test_freeze_into_rejects_a_nan_or_too_strong_negative_flip(scheme):
+    pulse = PulseSequence.zeros(60, 5.1e-6, 2 * math.pi * 1e5)  # 200 degrees need 6.8e5 rad/s
+    with pytest.raises(ValueError, match="not within omega_max"):
+        freeze_into(pulse, place_dd(60, DDScheme.parse(scheme)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(flip=st.floats() | st.floats(-720.0, 720.0), dt=st.floats(), omega_max=st.floats())
+def test_fuzz_hard_pulse_amplitude(flip, dt, omega_max):
+    # dt and omega_max reach the helper as a PulseSequence holds them.
+    try:
+        pulse = PulseSequence.zeros(1, dt, omega_max)
+        amp = hard_pulse_amplitude(flip, pulse.dt, pulse.omega_max)
+    except ValueError:
+        return
+    assert amp == math.radians(flip) / dt
+    assert math.isfinite(amp) and abs(amp) <= omega_max * (1 + 1e-12)
 
 
 def test_toggling_check_no_pulses():

@@ -103,6 +103,11 @@ def test_config_rejects_spacing_larger_than_gate():
         ({"phase_offsets": (math.inf,)}, "phase_offsets"),
         ({"incoherence_range": (math.nan, 1.0)}, "incoherence_range"),
         ({"dt": 10**400}, "dt"),
+        ({"max_iterations": 0}, "max_iterations"),
+        ({"seed": -1}, "seed"),
+        ({"fidelity_goal": 1.5}, "fidelity_goal"),
+        ({"amplitude_fraction": 2.0}, "amplitude_fraction"),
+        ({"marked": 7}, "marked"),
     ],
 )
 def test_config_rejects_empty_noise_grids(tmp_path, override, key):

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_unitary
 from ddgrape.core import ID4, collective_operator, is_unitary, unitary_exp
@@ -25,6 +27,7 @@ from ddgrape.nmr import (
 )
 
 TWO_PI = 2 * math.pi
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 def test_system_hamiltonian_zero():
@@ -265,6 +268,74 @@ def test_ensemble_weights_must_normalize():
 def test_noise_realization_rejects_non_positive_scales(field):
     with pytest.raises(ValueError, match=field):
         NoiseRealization(**{field: 0.0})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: NoiseRealization(rf_scale=math.nan),
+        lambda: NoiseRealization(offset_shift=math.inf),
+        lambda: NoiseEnsemble((NoiseRealization(weight=math.nan),)),
+    ],
+    ids=["rf_scale-nan", "offset_shift-inf", "weight-nan"],
+)
+def test_noise_constructors_reject_non_finite_values(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+@FUZZ
+@given(rf=st.floats(), shift=st.floats(), flip=st.floats(), phase=st.floats(), weight=st.floats())
+def test_fuzz_noise_realization(rf, shift, flip, phase, weight):
+    try:
+        real = NoiseRealization(rf, shift, flip, phase, weight)
+    except ValueError:
+        return
+    assert all(map(math.isfinite, dataclasses.astuple(real)))
+    assert real.rf_scale > 0 and real.flip_scale > 0 and real.weight >= 0
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"dt": math.nan}, "must be finite and > 0"),
+        ({"omega_max": -1.0}, "must be finite and > 0"),
+        ({"omega_x": [0.0, math.nan, 0.0]}, "segment 1 has a non-finite amplitude"),
+        ({"omega_x": np.zeros((3, 1)), "omega_y": np.zeros((3, 1)), "frozen": np.zeros((3, 1), bool)}, "1-D"),
+    ],
+    ids=["dt-nan", "omega_max-negative", "amplitude-nan", "2-D"],
+)
+def test_pulse_sequence_rejects_bad_values(change, message):
+    fields = dict(omega_x=np.zeros(3), omega_y=np.zeros(3), frozen=np.zeros(3, bool), dt=5.1e-6, omega_max=1e6)
+    fields.update(change)
+    with pytest.raises(ValueError, match=message):
+        PulseSequence(**fields)
+
+
+# omega_x and omega_y of one length, 0 to 3 segments.
+amplitude_pairs = st.integers(0, 3).flatmap(lambda n: st.tuples(*[st.lists(st.floats(), min_size=n, max_size=n)] * 2))
+
+
+@FUZZ
+@given(
+    amplitudes=amplitude_pairs,
+    ragged=st.booleans(),
+    column=st.booleans(),
+    dt=st.floats() | st.floats(1e-9, 1e-3),
+    omega_max=st.floats() | st.floats(1e3, 1e7),
+)
+def test_fuzz_pulse_sequence(amplitudes, ragged, column, dt, omega_max):
+    ox, oy = amplitudes
+    shape = (-1, 1) if column else (-1,)
+    frozen = np.zeros(len(ox) + ragged, bool)
+    try:
+        pulse = PulseSequence(np.reshape(ox, shape), np.reshape(oy, shape), frozen.reshape(shape), dt, omega_max)
+    except ValueError:
+        return
+    assert pulse.omega_x.ndim == 1 and pulse.n_segments >= 1
+    assert pulse.omega_x.shape == pulse.omega_y.shape == pulse.frozen.shape
+    assert np.all(np.isfinite(pulse.omega_x)) and np.all(np.isfinite(pulse.omega_y))
+    assert math.isfinite(pulse.dt) and pulse.dt > 0 and math.isfinite(pulse.omega_max) and pulse.omega_max > 0
 
 
 def test_pulse_file_roundtrip(tmp_path):
