@@ -8,6 +8,7 @@ the verification oracle in the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -203,23 +204,33 @@ def _zoom(blocks, starts, dth, dph):
     return best, th, ph
 
 
-def brute_force_min_conditional_entropy(rho: np.ndarray, n_theta: int = 601, n_phi: int = 1201):
-    """Dense-grid oracle for the basis minimization (no refinement).
-
-    The (theta, phi) grid is evaluated in blocks of whole theta rows, at
-    most KERNEL_CHUNK points each unless one row is longer; ties go to the
-    first point in row-major order.
-    """
-    blocks = _measurement_blocks(rho)
+@functools.lru_cache(maxsize=4)
+def _brute_force_grid(n_theta: int, n_phi: int):
+    """The oracle's angles and its axes in blocks of whole theta rows, at most
+    KERNEL_CHUNK points each unless one row is longer; built once per grid."""
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     rows = max(1, KERNEL_CHUNK // n_phi)
+    axes = [_bloch_axes(thetas[i0 : i0 + rows, None], phis) for i0 in range(0, n_theta, rows)]
+    for a in (thetas, phis, *axes):
+        a.flags.writeable = False
+    return thetas, phis, rows, axes
+
+
+def brute_force_min_conditional_entropy(rho: np.ndarray, n_theta: int = 601, n_phi: int = 1201):
+    """Dense-grid oracle for the basis minimization (no refinement).
+
+    The (theta, phi) grid is evaluated block by block (_brute_force_grid);
+    ties go to the first point in row-major order.
+    """
+    blocks = _measurement_blocks(rho)
+    thetas, phis, rows, grid = _brute_force_grid(n_theta, n_phi)
     best, best_flat = math.inf, 0
-    for i0 in range(0, n_theta, rows):
-        vals = _conditional_entropy_bases(blocks, _bloch_axes(thetas[i0 : i0 + rows, None], phis)).ravel()
+    for b, axes in enumerate(grid):
+        vals = _conditional_entropy_bases(blocks, axes).ravel()
         k = int(np.argmin(vals))
         if vals[k] < best:
-            best, best_flat = float(vals[k]), i0 * n_phi + k
+            best, best_flat = float(vals[k]), b * rows * n_phi + k
     i, j = divmod(best_flat, n_phi)
     return best, MeasurementBasis(float(thetas[i]), float(phis[j]))
 

@@ -2,12 +2,12 @@
 RMS-deviation analysis, and robustness sweeps.
 
 Gate pulses are cached as text files keyed by (scheme, target, seed) so
-repeated runs with one config reuse the optimization results. Trajectories
-and sweeps compute every noise member's gate propagators on one thread pool
-of `worker_count()` workers (DDGRAPE_THREADS=1 runs them serially); all
-ensemble and sweep reductions then run in a fixed order, so outputs are
-identical for any worker count and deterministic for a given config and
-seed.
+repeated runs with one config reuse the optimization results. A trajectory
+computes all its members' gate propagators in one pool call, and so does a
+whole sweep, on `worker_count()` threads (DDGRAPE_THREADS=1 runs them
+serially); all ensemble and sweep reductions then run in a fixed order, so
+outputs are identical for any worker count and deterministic for a given
+config and seed.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ddgrape.core import is_unitary
 from ddgrape.dd import DDScheme, complete_blocks, freeze_into, hard_pulse_amplitude, place_dd
 from ddgrape.discord import quantum_discord
 from ddgrape.grape import (
@@ -124,16 +125,17 @@ class ExperimentConfig:
         )
         for s in self.schemes:
             if s != UNPROTECTED:
-                d, where = DDScheme.parse(s), f"scheme {s!r}: "
+                where = f"scheme {s!r}: "
+                d = self._build(("schemes",), lambda c: DDScheme.parse(s), where)
                 self._build(("n_segments_per_gate",), lambda c: complete_blocks(c.n_segments_per_gate, d), where)
                 self._build(("dt", "omega_max"), lambda c: hard_pulse_amplitude(d.flip_deg, c.dt, c.omega_max), where)
 
     def _build(self, keys, build, where=""):
-        """Run build(self). A ValueError or OverflowError becomes a ValueError
+        """build(self). A ValueError or OverflowError becomes a ValueError
         naming those of `keys` that fail the build alone, with every other
         key at its default (all of them when none does)."""
         try:
-            build(self)
+            return build(self)
         except (ValueError, OverflowError) as exc:
             at_fault = [k for k in keys if _fails(build, k, getattr(self, k))] or keys
             raise ValueError(f"{where}config key {' or '.join(map(repr, at_fault))}: {exc}") from exc
@@ -377,10 +379,10 @@ def run_trajectory(config: ExperimentConfig, scheme: str, noise: NoiseEnsemble, 
     Records marked-state probability, discord, and epsilon-scaled discord
     after every stage.
     """
-    gate_set = gates[scheme]
-    uw, ud = _member_propagators((gate_set.pulse_w, gate_set.pulse_d), config.system, noise.realizations)
-    spec = config.grover_spec()
-    stages = grover_stages(spec, pseudopure_state(config.epsilon), noise, uw, ud)
+    gate_set, members = gates[scheme], noise.realizations
+    props = _member_propagators(config, [(p, m) for p in (gate_set.pulse_w, gate_set.pulse_d) for m in members])
+    uw, ud = props[: len(members)], props[len(members) :]
+    stages = grover_stages(config.grover_spec(), pseudopure_state(config.epsilon), noise, uw, ud)
     return [_record(config, label, rho) for label, rho in stages]
 
 
@@ -433,47 +435,46 @@ class SweepRow:
     mean_fidelity_incoherent: float
 
 
-def _member_propagators(pulses, params: SystemParams, realizations):
-    """sequence_propagator of every (pulse, member) pair, computed on one
-    pool of worker_count() threads; one list per pulse, in member order."""
-    jobs = [(pulse, real) for pulse in pulses for real in realizations]
+def _member_propagators(config: ExperimentConfig, jobs):
+    """sequence_propagator of every (pulse, member) job, in job order, from
+    one pool of worker_count() threads. Each must be unitary to 1e-10."""
+
+    def run(job):
+        u = sequence_propagator(job[0], config.system, job[1])
+        if not is_unitary(u):
+            raise ValueError(f"the propagator of noise member {job[1]} is not unitary to 1e-10")
+        return u
+
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        flat = list(pool.map(lambda job: sequence_propagator(job[0], params, job[1]), jobs))
-    n = len(realizations)
-    return [flat[i * n : (i + 1) * n] for i in range(len(pulses))]
+        return list(pool.map(run, jobs))
 
 
-def _iterate_mean_fidelity(uw_pulse, ud_pulse, config: ExperimentConfig, noise_members):
-    """F_bar = (1/6) sum_j F(U_PG^j, U_G^j), weight-averaged over noise members."""
+def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
+    """Mean Grover-iterate fidelity F_bar = (1/6) sum_j F(U_PG^j, U_G^j),
+    weight-averaged over noise members, per scheme under flip/phase error
+    grids, without and with the incoherence ensemble. The propagators of
+    every cell come from one _member_propagators call."""
+    errors, incoherence = config.error_ensembles(), config.incoherence_ensemble()
+    keys = [(scheme, kind) for scheme in config.schemes for kind in errors]
+    cells = [(s, e) for s, k in keys for e in (errors[k], errors[k].combined_with(incoherence))]
+    jobs = [(p, m) for s, e in cells for m in e.realizations for p in (gates[s].pulse_w, gates[s].pulse_d)]
+    props = iter(_member_propagators(config, jobs))
     u_g = diffusion_unitary() @ oracle_unitary(config.marked)
     ideal_powers = [np.eye(4, dtype=complex)]
     for _ in range(config.iterations):
         ideal_powers.append(u_g @ ideal_powers[-1])
-    uws, uds = _member_propagators((uw_pulse, ud_pulse), config.system, noise_members)
-    total = 0.0
-    for real, uw, ud in zip(noise_members, uws, uds):
-        u_pg = ud @ uw
-        acc_p = np.eye(4, dtype=complex)
-        mean = 0.0
-        for u_g_j in ideal_powers[1:]:
-            acc_p = u_pg @ acc_p
-            mean += gate_fidelity(acc_p, u_g_j)
-        # (w * m) / n, not NoiseEnsemble.mean's w * (m / n): they round differently.
-        total += real.weight * mean / config.iterations
-    return total
-
-
-def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
-    """Mean Grover-iterate fidelity per scheme under flip/phase error grids,
-    without and with the incoherence ensemble."""
-    error_kinds = config.error_ensembles()
-    incoherence = config.incoherence_ensemble()
-    rows = []
-    for scheme in config.schemes:
-        gate_set = gates[scheme]
-        for kind, err in error_kinds.items():
-            f_plain = _iterate_mean_fidelity(gate_set.pulse_w, gate_set.pulse_d, config, err.realizations)
-            combined = err.combined_with(incoherence)
-            f_inc = _iterate_mean_fidelity(gate_set.pulse_w, gate_set.pulse_d, config, combined.realizations)
-            rows.append(SweepRow(scheme, kind, f_plain, f_inc))
-    return rows
+    means = []
+    for _, ensemble in cells:
+        total = 0.0
+        for real in ensemble.realizations:
+            uw, ud = next(props), next(props)
+            u_pg = ud @ uw
+            acc_p = np.eye(4, dtype=complex)
+            mean = 0.0
+            for u_g_j in ideal_powers[1:]:
+                acc_p = u_pg @ acc_p
+                mean += gate_fidelity(acc_p, u_g_j)
+            # (w * m) / n, not NoiseEnsemble.mean's w * (m / n): they round differently.
+            total += real.weight * mean / config.iterations
+        means.append(total)
+    return [SweepRow(s, k, f, f_inc) for (s, k), f, f_inc in zip(keys, means[::2], means[1::2])]

@@ -267,13 +267,16 @@ def evolve_ensemble(rho0: np.ndarray, ensemble: NoiseEnsemble, stages) -> list[n
     Every member starts in rho0; stage s conjugates member m's state by
     stages[s][m]. A member keeps its own propagators through all stages
     (quasi-static noise). Returns ensemble.mean of the states before the
-    first stage and after each stage.
+    first stage and after each stage; each must have unit trace to 1e-10.
     """
     states = [np.array(rho0, dtype=complex) for _ in ensemble.realizations]
     averaged = [ensemble.mean(states)]
     for us in stages:
         states = [u @ rho @ u.conj().T for u, rho in zip(us, states)]
         averaged.append(ensemble.mean(states))
+    for s, rho in enumerate(averaged):
+        if not abs(np.trace(rho) - 1.0) <= 1e-10:
+            raise ValueError(f"ensemble-mean state {s} (0 = before the first stage) has trace {np.trace(rho)}, not 1")
     return averaged
 
 

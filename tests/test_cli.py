@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_config
+from ddgrape import harness
 from ddgrape.cli import main
 from ddgrape.discord import save_state
 from ddgrape.harness import ExperimentConfig, _pulse_path
@@ -186,6 +187,7 @@ def test_state_that_is_not_a_density_matrix_exits_2(tmp_path, capsys):
         ({"system": {"offset1": 1.0}}, "offset2"),
         ({"dt": 10**400}, "dt"),
         ({"system": {"offset1": 10**400, "offset2": 0.0, "coupling": 0.0}}, "system.offset1"),
+        ({"schemes": ["none", "xy:abc:10"]}, "schemes"),
     ],
 )
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, config, key):
@@ -194,6 +196,15 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, config, key):
     assert main(["sweep", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
+
+
+def test_sweep_with_a_propagator_that_is_not_unitary_exits_2(toy_workspace, capsys, monkeypatch):
+    _, config_path = toy_workspace
+    propagator = harness.sequence_propagator
+    monkeypatch.setattr(harness, "sequence_propagator", lambda *args: 1.001 * propagator(*args))
+    assert main(["sweep", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "NoiseRealization(" in err and "not unitary" in err
 
 
 def test_simulate_unknown_scheme_exits_2_before_any_build(tmp_path, capsys):

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import toy_config
+from ddgrape import harness
+from ddgrape.grape import gate_fidelity
+from ddgrape.grover import diffusion_unitary, oracle_unitary
 from ddgrape.harness import (
     ExperimentConfig,
+    SweepRow,
     TrajectoryRecord,
     _record,
     build_protected_gates,
@@ -123,6 +127,12 @@ def test_config_rejects_a_dd_pulse_above_omega_max(tmp_path, scheme, dt):
     toy_config(tmp_path, dt=1e-6, omega_max=math.pi / 2 / 1e-6)
 
 
+@pytest.mark.parametrize("scheme", ["z:90:10", "xy:90:0", "xy:abc:10", "xy:90"])
+def test_config_rejects_a_bad_scheme_naming_the_key_and_the_descriptor(tmp_path, scheme):
+    with pytest.raises(ValueError, match=re.escape(repr(scheme)) + ".*'schemes'"):
+        toy_config(tmp_path, schemes=("none", scheme))
+
+
 def test_config_ensembles_equal_the_former_factory_grids():
     # The realizations NoiseEnsemble's rf_inhomogeneity, incoherence,
     # flip_errors and phase_errors factories gave for the default config.
@@ -202,3 +212,69 @@ def test_threaded_paths_are_bitwise_equal_to_serial(toy_gates, monkeypatch):
     expected = [_record(cfg, r.stage, rho) for r, rho in zip(traj1, states)]
     assert len(states) == len(traj1)
     assert _bits(traj1) == _bits(expected)
+
+
+def _sweep_one_cell_at_a_time(config, gates):
+    """robustness_sweep as it was when each (scheme, kind, ensemble) cell got
+    its own propagators, with serial calls in place of that cell's pool."""
+
+    def iterate_mean_fidelity(uw_pulse, ud_pulse, noise_members):
+        u_g = diffusion_unitary() @ oracle_unitary(config.marked)
+        ideal_powers = [np.eye(4, dtype=complex)]
+        for _ in range(config.iterations):
+            ideal_powers.append(u_g @ ideal_powers[-1])
+        uws = [sequence_propagator(uw_pulse, config.system, real) for real in noise_members]
+        uds = [sequence_propagator(ud_pulse, config.system, real) for real in noise_members]
+        total = 0.0
+        for real, uw, ud in zip(noise_members, uws, uds):
+            u_pg = ud @ uw
+            acc_p = np.eye(4, dtype=complex)
+            mean = 0.0
+            for u_g_j in ideal_powers[1:]:
+                acc_p = u_pg @ acc_p
+                mean += gate_fidelity(acc_p, u_g_j)
+            total += real.weight * mean / config.iterations
+        return total
+
+    incoherence = config.incoherence_ensemble()
+    rows = []
+    for scheme in config.schemes:
+        gate_set = gates[scheme]
+        for kind, err in config.error_ensembles().items():
+            f_plain = iterate_mean_fidelity(gate_set.pulse_w, gate_set.pulse_d, err.realizations)
+            combined = err.combined_with(incoherence).realizations
+            f_inc = iterate_mean_fidelity(gate_set.pulse_w, gate_set.pulse_d, combined)
+            rows.append(SweepRow(scheme, kind, f_plain, f_inc))
+    return rows
+
+
+def test_sweep_rows_equal_the_cell_by_cell_sweep(toy_gates):
+    cfg, gates = toy_gates
+    assert _bits(robustness_sweep(cfg, gates)) == _bits(_sweep_one_cell_at_a_time(cfg, gates))
+
+
+def test_one_pool_per_sweep_and_per_trajectory(toy_gates, monkeypatch):
+    cfg, gates = toy_gates
+    pools = []
+
+    class CountingPool(harness.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
+    robustness_sweep(cfg, gates)
+    assert len(pools) == 1
+    run_trajectory(cfg, "xy:90:20", cfg.incoherence_ensemble(), gates)
+    assert len(pools) == 2
+
+
+def test_a_propagator_that_is_not_unitary_is_an_error_naming_its_member(toy_gates, monkeypatch):
+    cfg, gates = toy_gates
+    noise = cfg.incoherence_ensemble()
+    propagator = harness.sequence_propagator
+    monkeypatch.setattr(harness, "sequence_propagator", lambda *args: 1.001 * propagator(*args))
+    with pytest.raises(ValueError, match=r"NoiseRealization\(.*not unitary"):
+        robustness_sweep(cfg, gates)
+    with pytest.raises(ValueError, match=re.escape(repr(noise.realizations[0])) + ".*not unitary"):
+        run_trajectory(cfg, "none", noise, gates)

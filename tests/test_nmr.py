@@ -222,6 +222,16 @@ def test_evolve_ensemble_preserves_trace_each_stage():
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
 
+def test_evolve_ensemble_rejects_a_mean_state_without_unit_trace():
+    ens = NoiseEnsemble.uniform(NoiseRealization(rf_scale=s) for s in (0.9, 1.1))
+    rho0 = pseudopure_state(0.5)
+    assert len(evolve_ensemble(rho0, ens, [[ID4, ID4]])) == 2
+    with pytest.raises(ValueError, match=r"state 1 .*trace"):
+        evolve_ensemble(rho0, ens, [[ID4, 1.001 * ID4]])
+    with pytest.raises(ValueError, match=r"state 0 .*trace"):
+        evolve_ensemble(2.0 * rho0, ens, [])
+
+
 def test_pseudopure_state_examples():
     assert np.allclose(pseudopure_state(1.0), np.diag([1, 0, 0, 0]))
     assert np.allclose(pseudopure_state(0.0), np.eye(4) / 4)
