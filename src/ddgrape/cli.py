@@ -42,7 +42,7 @@ def _noise_ensemble(config: ExperimentConfig, name: str) -> NoiseEnsemble:
 def cmd_optimize(args, config: ExperimentConfig):
     gates = build_protected_gates(config, verbose=not args.quiet)
     rows = [
-        (scheme, label, report.fidelity, int(gs.warning))
+        (scheme, label, report.fidelity, int(min(gs.report_w.fidelity, gs.report_d.fidelity) < config.fidelity_goal))
         for scheme, gs in gates.items()
         for label, report in (("uw", gs.report_w), ("ud", gs.report_d))
     ]

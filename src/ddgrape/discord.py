@@ -126,9 +126,25 @@ def _conditional_entropy_bases(blocks: np.ndarray, axes: np.ndarray) -> np.ndarr
     return np.where(mask, h, 0.0).sum(axis=0).reshape(axes.shape[1:])
 
 
-_COARSE_THETA_GRID = np.linspace(0.0, math.pi, COARSE_THETAS)
-_COARSE_PHI_GRID = np.linspace(0.0, 2.0 * math.pi, COARSE_PHIS, endpoint=False)
-_COARSE_AXES = _bloch_axes(_COARSE_THETA_GRID[:, None], _COARSE_PHI_GRID[None, :]).reshape(3, -1)
+@functools.lru_cache(maxsize=4)
+def _grid(n_theta: int, n_phi: int):
+    """A (theta, phi) grid's angles and its axes in blocks of whole theta
+    rows, at most KERNEL_CHUNK points each unless one row is longer; built
+    once per grid."""
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    rows = max(1, KERNEL_CHUNK // n_phi)
+    axes = [_bloch_axes(thetas[i0 : i0 + rows, None], phis) for i0 in range(0, n_theta, rows)]
+    for a in (thetas, phis, *axes):
+        a.flags.writeable = False
+    return thetas, phis, axes
+
+
+def _grid_values(blocks: np.ndarray, n_theta: int, n_phi: int):
+    """The grid's angles and the conditional entropy at every grid point,
+    flat in row-major (theta, phi) order."""
+    thetas, phis, axes = _grid(n_theta, n_phi)
+    return thetas, phis, np.concatenate([_conditional_entropy_bases(blocks, a).ravel() for a in axes])
 
 
 def min_conditional_entropy(rho: np.ndarray):
@@ -139,11 +155,7 @@ def min_conditional_entropy(rho: np.ndarray):
     phi) until the improvement per round drops below 1e-8 bits.
     """
     blocks = _measurement_blocks(rho)
-    n = _COARSE_AXES.shape[1]
-    values = np.concatenate(
-        [_conditional_entropy_bases(blocks, _COARSE_AXES[:, i : i + KERNEL_CHUNK]) for i in range(0, n, KERNEL_CHUNK)]
-    )
-    thetas, phis = _COARSE_THETA_GRID, _COARSE_PHI_GRID
+    thetas, phis, values = _grid_values(blocks, COARSE_THETAS, COARSE_PHIS)
 
     starts = []
     order = np.argsort(values, kind="stable")
@@ -204,35 +216,15 @@ def _zoom(blocks, starts, dth, dph):
     return best, th, ph
 
 
-@functools.lru_cache(maxsize=4)
-def _brute_force_grid(n_theta: int, n_phi: int):
-    """The oracle's angles and its axes in blocks of whole theta rows, at most
-    KERNEL_CHUNK points each unless one row is longer; built once per grid."""
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    rows = max(1, KERNEL_CHUNK // n_phi)
-    axes = [_bloch_axes(thetas[i0 : i0 + rows, None], phis) for i0 in range(0, n_theta, rows)]
-    for a in (thetas, phis, *axes):
-        a.flags.writeable = False
-    return thetas, phis, rows, axes
-
-
 def brute_force_min_conditional_entropy(rho: np.ndarray, n_theta: int = 601, n_phi: int = 1201):
     """Dense-grid oracle for the basis minimization (no refinement).
 
-    The (theta, phi) grid is evaluated block by block (_brute_force_grid);
-    ties go to the first point in row-major order.
+    Ties go to the first point in row-major (theta, phi) order.
     """
-    blocks = _measurement_blocks(rho)
-    thetas, phis, rows, grid = _brute_force_grid(n_theta, n_phi)
-    best, best_flat = math.inf, 0
-    for b, axes in enumerate(grid):
-        vals = _conditional_entropy_bases(blocks, axes).ravel()
-        k = int(np.argmin(vals))
-        if vals[k] < best:
-            best, best_flat = float(vals[k]), b * rows * n_phi + k
-    i, j = divmod(best_flat, n_phi)
-    return best, MeasurementBasis(float(thetas[i]), float(phis[j]))
+    thetas, phis, values = _grid_values(_measurement_blocks(rho), n_theta, n_phi)
+    flat = int(np.argmin(values))
+    i, j = divmod(flat, n_phi)
+    return float(values[flat]), MeasurementBasis(float(thetas[i]), float(phis[j]))
 
 
 def quantum_discord(rho: np.ndarray, epsilon: float | None = None) -> DiscordResult:

@@ -2,9 +2,9 @@
 RMS-deviation analysis, and robustness sweeps.
 
 Gate pulses are cached as text files keyed by (scheme, target, seed) so
-repeated runs with one config reuse the optimization results. A trajectory
-computes all its members' gate propagators in one pool call, and so does a
-whole sweep, on `worker_count()` threads (DDGRAPE_THREADS=1 runs them
+repeated runs with one config reuse the optimization results. A trajectory,
+and a whole sweep, gets all its gate propagators from one `_gate_propagators`
+pool call on `worker_count()` threads (DDGRAPE_THREADS=1 runs them
 serially); all ensemble and sweep reductions then run in a fixed order, so
 outputs are identical for any worker count and deterministic for a given
 config and seed.
@@ -60,15 +60,12 @@ CANDIDATES = 3
 
 
 def worker_count() -> int:
-    """Worker bound from DDGRAPE_THREADS (0 or unset = auto)."""
+    """Worker bound from DDGRAPE_THREADS, an integer >= 0 (0 or unset = one
+    per CPU); any other value raises a ValueError."""
     raw = os.environ.get("DDGRAPE_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
+    if not raw.isdecimal():
+        raise ValueError(f"DDGRAPE_THREADS must be an integer >= 0, got {raw!r}")
+    return int(raw) or os.cpu_count() or 1
 
 
 @dataclass
@@ -253,12 +250,10 @@ class RmsReport:
 class GateSet:
     """Optimized pulses for one scheme's oracle and diffusion gates."""
 
-    scheme: str
     pulse_w: PulseSequence
     pulse_d: PulseSequence
     report_w: FidelityReport
     report_d: FidelityReport
-    warning: bool = False
 
 
 def _scheme_tag(scheme: str) -> str:
@@ -278,23 +273,44 @@ def _with_scheme_dd(pulse: PulseSequence, config: ExperimentConfig, scheme: str)
     return freeze_into(pulse, place_dd(config.n_segments_per_gate, DDScheme.parse(scheme)))
 
 
-def _build_one(config: ExperimentConfig, scheme: str, target: TargetGate, seed: int):
-    initial = random_initial_pulse(
-        config.n_segments_per_gate, config.dt, config.omega_max, config.amplitude_fraction, seed
-    )
-    initial = _with_scheme_dd(initial, config, scheme)
-    return optimize(initial, target, config.system, config.optimization())
+def _optimized(config: ExperimentConfig, scheme: str, target: TargetGate, incoherence: NoiseEnsemble):
+    """The pulse and report kept from up to RESTARTS optimizations, with
+    seeds derived deterministically. Attempts that reach the fidelity goal
+    become candidates, and the most offset-robust one (mean fidelity over
+    `incoherence`) is kept once CANDIDATES exist or the attempts run out;
+    with no candidate, the attempt of highest fidelity is kept. Ties go to
+    the earliest attempt. GRAPE solutions of equal RFI-averaged fidelity
+    differ wildly in offset sensitivity, so this calibration-style
+    selection is applied uniformly to every scheme; the optimizer itself
+    never sees the incoherence ensemble."""
+    attempts, reached = [], []
+    for attempt in range(RESTARTS):
+        seed = config.seed + 1000 * attempt + (0 if target.label == "uw" else 17)
+        initial = random_initial_pulse(
+            config.n_segments_per_gate, config.dt, config.omega_max, config.amplitude_fraction, seed
+        )
+        initial = _with_scheme_dd(initial, config, scheme)
+        pulse, report, _ = optimize(initial, target, config.system, config.optimization())
+        attempts.append((report.fidelity, pulse, report))
+        if report.fidelity >= config.fidelity_goal:
+            reached.append((robust_fidelity(pulse, target, config.system, incoherence).fidelity, pulse, report))
+            if len(reached) >= CANDIDATES:
+                break
+    _, pulse, report = max(reached or attempts, key=lambda c: c[0])
+    return pulse, report
 
 
 def _check_cached_pulse(path, pulse: PulseSequence, config: ExperimentConfig, scheme: str) -> None:
     """Raise a ValueError naming `path` unless the cached pulse has the config's
-    dt and segment count, and exactly the frozen mask and frozen amplitudes
-    that _with_scheme_dd gives the scheme (no frozen segment for the
-    unprotected scheme). The system parameters are not checked."""
-    if pulse.dt != config.dt or pulse.n_segments != config.n_segments_per_gate:
+    dt, omega_max and segment count, and exactly the frozen mask and frozen
+    amplitudes that _with_scheme_dd gives the scheme (no frozen segment for
+    the unprotected scheme). The system parameters are not checked."""
+    found = (pulse.dt, pulse.omega_max, pulse.n_segments)
+    wanted = (config.dt, config.omega_max, config.n_segments_per_gate)
+    if found != wanted:
         raise ValueError(
-            f"cached pulse file {path} has dt={pulse.dt!r} and {pulse.n_segments} segments, but the config "
-            f"asks for dt={config.dt!r} and {config.n_segments_per_gate}; move it away to rebuild"
+            f"cached pulse file {path} has (dt, omega_max, segments) {found}, but the config "
+            f"asks for {wanted}; move it away to rebuild"
         )
     zeros = PulseSequence.zeros(config.n_segments_per_gate, config.dt, config.omega_max)
     expected = _with_scheme_dd(zeros, config, scheme)
@@ -311,24 +327,14 @@ def _check_cached_pulse(path, pulse: PulseSequence, config: ExperimentConfig, sc
 
 
 def build_protected_gates(config: ExperimentConfig, verbose: bool = False):
-    """Optimize (or load cached) U_W and U_D pulses for every scheme.
-
-    Up to RESTARTS attempts, with seeds derived deterministically. Attempts
-    that reach the fidelity goal become candidates; once CANDIDATES exist the
-    most offset-robust one (mean fidelity over the incoherence ensemble)
-    is kept. GRAPE solutions of equal RFI-averaged fidelity differ wildly
-    in offset sensitivity, so this calibration-style selection is applied
-    uniformly to every scheme; the optimizer itself never sees the
-    incoherence ensemble. A gate that misses the goal on every attempt
-    keeps its best pulse and is recorded with a warning flag.
-    """
+    """Optimize (`_optimized`) or load cached U_W and U_D pulses for every
+    scheme, each with its fidelity report over the RFI ensemble."""
     targets = (TargetGate(oracle_unitary(config.marked), "uw"), TargetGate(diffusion_unitary(), "ud"))
     gates: dict[str, GateSet] = {}
     rfi = config.rfi_ensemble()
     incoherence = config.incoherence_ensemble()
     for scheme in config.schemes:
-        built = {}
-        warn = False
+        built = []
         for target in targets:
             path = _pulse_path(config, scheme, target.label)
             if path.exists():
@@ -336,37 +342,14 @@ def build_protected_gates(config: ExperimentConfig, verbose: bool = False):
                 _check_cached_pulse(path, pulse, config, scheme)
                 report = robust_fidelity(pulse, target, config.system, rfi)
             else:
-                best_pulse, best_report = None, None
-                reached = []
-                for attempt in range(RESTARTS):
-                    seed = config.seed + 1000 * attempt + (0 if target.label == "uw" else 17)
-                    pulse, report, _ = _build_one(config, scheme, target, seed)
-                    if best_report is None or report.fidelity > best_report.fidelity:
-                        best_pulse, best_report = pulse, report
-                    if report.fidelity >= config.fidelity_goal:
-                        score = robust_fidelity(pulse, target, config.system, incoherence).fidelity
-                        reached.append((score, pulse, report))
-                        if len(reached) >= CANDIDATES:
-                            break
-                if reached:
-                    _, pulse, report = max(reached, key=lambda c: c[0])
-                else:
-                    pulse, report = best_pulse, best_report
+                pulse, report = _optimized(config, scheme, target, incoherence)
                 path.parent.mkdir(parents=True, exist_ok=True)
                 save_pulse(path, pulse)
             if verbose:
                 print(f"scheme={scheme} target={target.label} fidelity={report.fidelity:.6f}")
-            if report.fidelity < config.fidelity_goal:
-                warn = True
-            built[target.label] = (pulse, report)
-        gates[scheme] = GateSet(
-            scheme=scheme,
-            pulse_w=built["uw"][0],
-            pulse_d=built["ud"][0],
-            report_w=built["uw"][1],
-            report_d=built["ud"][1],
-            warning=warn,
-        )
+            built.append((pulse, report))
+        (pulse_w, report_w), (pulse_d, report_d) = built
+        gates[scheme] = GateSet(pulse_w, pulse_d, report_w, report_d)
     return gates
 
 
@@ -379,9 +362,7 @@ def run_trajectory(config: ExperimentConfig, scheme: str, noise: NoiseEnsemble, 
     Records marked-state probability, discord, and epsilon-scaled discord
     after every stage.
     """
-    gate_set, members = gates[scheme], noise.realizations
-    props = _member_propagators(config, [(p, m) for p in (gate_set.pulse_w, gate_set.pulse_d) for m in members])
-    uw, ud = props[: len(members)], props[len(members) :]
+    ((uw, ud),) = _gate_propagators(config, [(gates[scheme], noise)])
     stages = grover_stages(config.grover_spec(), pseudopure_state(config.epsilon), noise, uw, ud)
     return [_record(config, label, rho) for label, rho in stages]
 
@@ -435,9 +416,11 @@ class SweepRow:
     mean_fidelity_incoherent: float
 
 
-def _member_propagators(config: ExperimentConfig, jobs):
-    """sequence_propagator of every (pulse, member) job, in job order, from
-    one pool of worker_count() threads. Each must be unitary to 1e-10."""
+def _gate_propagators(config: ExperimentConfig, cells):
+    """The oracle and diffusion propagators of every (gate_set, ensemble)
+    cell, as a (uw, ud) pair of lists in member order per cell, from one
+    pool of worker_count() threads. Each must be unitary to 1e-10; the first
+    that is not cancels the jobs not yet started."""
 
     def run(job):
         u = sequence_propagator(job[0], config.system, job[1])
@@ -445,29 +428,28 @@ def _member_propagators(config: ExperimentConfig, jobs):
             raise ValueError(f"the propagator of noise member {job[1]} is not unitary to 1e-10")
         return u
 
+    jobs = [(p, m) for g, e in cells for p in (g.pulse_w, g.pulse_d) for m in e.realizations]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(run, jobs))
+        props = iter(list(pool.map(run, jobs)))
+    return [([next(props) for _ in e.realizations], [next(props) for _ in e.realizations]) for _, e in cells]
 
 
 def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
     """Mean Grover-iterate fidelity F_bar = (1/6) sum_j F(U_PG^j, U_G^j),
     weight-averaged over noise members, per scheme under flip/phase error
     grids, without and with the incoherence ensemble. The propagators of
-    every cell come from one _member_propagators call."""
+    every cell come from one _gate_propagators call."""
     errors, incoherence = config.error_ensembles(), config.incoherence_ensemble()
     keys = [(scheme, kind) for scheme in config.schemes for kind in errors]
-    cells = [(s, e) for s, k in keys for e in (errors[k], errors[k].combined_with(incoherence))]
-    jobs = [(p, m) for s, e in cells for m in e.realizations for p in (gates[s].pulse_w, gates[s].pulse_d)]
-    props = iter(_member_propagators(config, jobs))
+    cells = [(gates[s], e) for s, k in keys for e in (errors[k], errors[k].combined_with(incoherence))]
     u_g = diffusion_unitary() @ oracle_unitary(config.marked)
     ideal_powers = [np.eye(4, dtype=complex)]
     for _ in range(config.iterations):
         ideal_powers.append(u_g @ ideal_powers[-1])
     means = []
-    for _, ensemble in cells:
+    for (_, ensemble), (uws, uds) in zip(cells, _gate_propagators(config, cells)):
         total = 0.0
-        for real in ensemble.realizations:
-            uw, ud = next(props), next(props)
+        for real, uw, ud in zip(ensemble.realizations, uws, uds):
             u_pg = ud @ uw
             acc_p = np.eye(4, dtype=complex)
             mean = 0.0

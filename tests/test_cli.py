@@ -277,7 +277,7 @@ def test_simulate_rejects_cached_pulse_with_bad_amplitude(cached_gates_copy, cap
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("change", [{"dt": 5.0e-6}, {"n_segments_per_gate": 80}])
+@pytest.mark.parametrize("change", [{"dt": 5.0e-6}, {"n_segments_per_gate": 80}, {"omega_max": 2 * math.pi * 2e5}])
 def test_simulate_rejects_cached_pulses_built_for_another_config(cached_gates_copy, capsys, change):
     config_path, pulse_path = cached_gates_copy()
     config = ExperimentConfig.from_json(config_path)
@@ -304,6 +304,30 @@ def test_optimize_on_a_cache_hit_rejects_a_bad_setting(cached_gates_copy, capsys
     assert captured.err.startswith("error:") and repr(key) in captured.err
     assert captured.out == ""
     assert sorted(p.name for p in config_path.parent.iterdir()) == ["config.json", "pulses"]
+
+
+def test_gates_csv_flags_every_gate_of_a_scheme_whose_lower_fidelity_misses_the_goal(toy_gates, cached_gates_copy):
+    _, gates = toy_gates
+    lowest = {s: min(g.report_w.fidelity, g.report_d.fidelity) for s, g in gates.items()}
+    failing = min(lowest, key=lowest.get)
+    goal = sum(lowest.values()) / 2
+    assert min(lowest.values()) < goal < max(lowest.values())
+    config_path, _ = cached_gates_copy()
+    config = json.loads(config_path.read_text())
+    config["fidelity_goal"] = goal
+    config_path.write_text(json.dumps(config))
+    assert main(["optimize", "--config", str(config_path), "--quiet"]) == 0
+    rows = [line.split(",") for line in (config_path.parent / "gates.csv").read_text().splitlines()[1:]]
+    flags = {(s, t): w for s, t, _, w in rows}
+    assert flags == {(s, t): str(int(s == failing)) for s in gates for t in ("uw", "ud")}
+
+
+def test_sweep_with_a_bad_thread_count_exits_2(toy_workspace, capsys, monkeypatch):
+    _, config_path = toy_workspace
+    monkeypatch.setenv("DDGRAPE_THREADS", "-1")
+    assert main(["sweep", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "DDGRAPE_THREADS" in err
 
 
 def test_simulate_rejects_unprotected_cached_pulse_with_a_frozen_segment(cached_gates_copy, capsys):

@@ -70,6 +70,10 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() >= 1
     monkeypatch.delenv("DDGRAPE_THREADS")
     assert worker_count() >= 1
+    for bad in ("abc", "-1", "2.5", ""):
+        monkeypatch.setenv("DDGRAPE_THREADS", bad)
+        with pytest.raises(ValueError, match="DDGRAPE_THREADS"):
+            worker_count()
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -278,3 +282,21 @@ def test_a_propagator_that_is_not_unitary_is_an_error_naming_its_member(toy_gate
         robustness_sweep(cfg, gates)
     with pytest.raises(ValueError, match=re.escape(repr(noise.realizations[0])) + ".*not unitary"):
         run_trajectory(cfg, "none", noise, gates)
+
+
+def test_a_propagator_that_is_not_unitary_cancels_the_jobs_not_yet_started(toy_gates, monkeypatch):
+    cfg, gates = toy_gates
+    jobs = 2 * sum(len(e.realizations) * (1 + cfg.incoherence_points) for e in cfg.error_ensembles().values())
+    jobs *= len(cfg.schemes)
+    calls = []
+    propagator = harness.sequence_propagator
+
+    def counted(*args):
+        calls.append(None)
+        return 1.001 * propagator(*args)
+
+    monkeypatch.setattr(harness, "sequence_propagator", counted)
+    with pytest.raises(ValueError, match="not unitary"):
+        robustness_sweep(cfg, gates)
+    assert len(calls) < jobs // 4, (len(calls), jobs)
+
