@@ -50,8 +50,14 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(m - dagger(m))) <= tol)
 
 
+def unitarity_error(u: np.ndarray) -> np.ndarray:
+    """max |U^dagger U - I| of a matrix, or of each matrix in a (..., n, n)
+    stack; NaN where the matrix holds a NaN."""
+    return np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+
+
 def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    return bool(np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))) <= tol)
+    return bool(unitarity_error(u) <= tol)
 
 
 def unitary_exp(generator: np.ndarray, scale: float = 1.0) -> np.ndarray:

@@ -3,11 +3,13 @@ RMS-deviation analysis, and robustness sweeps.
 
 Gate pulses are cached as text files keyed by (scheme, target, seed) so
 repeated runs with one config reuse the optimization results. A trajectory,
-and a whole sweep, gets all its gate propagators from one `_gate_propagators`
-pool call on `worker_count()` threads (DDGRAPE_THREADS=1 runs them
-serially); all ensemble and sweep reductions then run in a fixed order, so
-outputs are identical for any worker count and deterministic for a given
-config and seed.
+and a whole sweep, gets its gate propagators from one `_gate_propagators`
+generator, which runs them on one pool of `worker_count()` threads
+(DDGRAPE_THREADS=1 runs them serially) through a window of at most
+2 * worker_count() pending jobs and yields them cell by cell in a fixed
+order. All ensemble and sweep reductions run in that order, so outputs are
+identical for any worker count and deterministic for a given config and
+seed.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ import dataclasses
 import json
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from ddgrape.core import is_unitary
+from ddgrape.core import UNITARITY_TOL, unitarity_error
 from ddgrape.dd import DDScheme, complete_blocks, freeze_into, hard_pulse_amplitude, place_dd
 from ddgrape.discord import quantum_discord
 from ddgrape.grape import (
@@ -120,12 +125,18 @@ class ExperimentConfig:
             ("n_segments_per_gate", "dt", "omega_max", "amplitude_fraction"),
             lambda c: random_initial_pulse(c.n_segments_per_gate, c.dt, c.omega_max, c.amplitude_fraction, c.seed),
         )
+        # Two descriptors of one scheme would give it two sweep rows and two cached builds.
+        seen = {}
         for s in self.schemes:
+            d = UNPROTECTED
             if s != UNPROTECTED:
                 where = f"scheme {s!r}: "
                 d = self._build(("schemes",), lambda c: DDScheme.parse(s), where)
                 self._build(("n_segments_per_gate",), lambda c: complete_blocks(c.n_segments_per_gate, d), where)
                 self._build(("dt", "omega_max"), lambda c: hard_pulse_amplitude(d.flip_deg, c.dt, c.omega_max), where)
+            if d in seen:
+                raise ValueError(f"scheme {s!r}: config key 'schemes': repeats scheme {seen[d]!r}")
+            seen[d] = s
 
     def _build(self, keys, build, where=""):
         """build(self). A ValueError or OverflowError becomes a ValueError
@@ -417,46 +428,67 @@ class SweepRow:
 
 
 def _gate_propagators(config: ExperimentConfig, cells):
-    """The oracle and diffusion propagators of every (gate_set, ensemble)
-    cell, as a (uw, ud) pair of lists in member order per cell, from one
-    pool of worker_count() threads. Each must be unitary to 1e-10; the first
-    that is not cancels the jobs not yet started."""
+    """Yield each (gate_set, ensemble) cell's oracle and diffusion
+    propagators, in cell order, as a (uw, ud) pair of lists in member order.
+    The jobs (each cell's oracle members, then its diffusion members) run on
+    one pool of worker_count() threads, with at most 2 * worker_count() of
+    them submitted and not yet taken, so memory does not grow with the job
+    count. A cell's propagators are checked in one batch as it is taken: the
+    first, in job order, that is not unitary to 1e-10 is an error naming its
+    member. The pool is shut down, with the jobs not yet started cancelled,
+    when the generator ends, raises or is closed."""
+    workers = worker_count()
+    jobs = ((p, m) for g, e in cells for p in (g.pulse_w, g.pulse_d) for m in e.realizations)
+    pool = ThreadPoolExecutor(max_workers=workers)
 
-    def run(job):
-        u = sequence_propagator(job[0], config.system, job[1])
-        if not is_unitary(u):
-            raise ValueError(f"the propagator of noise member {job[1]} is not unitary to 1e-10")
+    def submit(job):
+        return pool.submit(sequence_propagator, job[0], config.system, job[1])
+
+    def take():
+        u = window.popleft().result()
+        window.extend(map(submit, islice(jobs, 1)))
         return u
 
-    jobs = [(p, m) for g, e in cells for p in (g.pulse_w, g.pulse_d) for m in e.realizations]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        props = iter(list(pool.map(run, jobs)))
-    return [([next(props) for _ in e.realizations], [next(props) for _ in e.realizations]) for _, e in cells]
+    try:
+        window = deque(map(submit, islice(jobs, 2 * workers)))
+        for _, e in cells:
+            n = len(e.realizations)
+            props = [take() for _ in range(2 * n)]
+            unitary = unitarity_error(np.array(props)) <= UNITARITY_TOL
+            if not unitary.all():
+                member = e.realizations[np.argmin(unitary) % n]
+                raise ValueError(f"the propagator of noise member {member} is not unitary to 1e-10")
+            yield props[:n], props[n:]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
     """Mean Grover-iterate fidelity F_bar = (1/6) sum_j F(U_PG^j, U_G^j),
     weight-averaged over noise members, per scheme under flip/phase error
     grids, without and with the incoherence ensemble. The propagators of
-    every cell come from one _gate_propagators call."""
+    every cell come from one _gate_propagators call; each cell is reduced as
+    it arrives and its propagators are then dropped."""
     errors, incoherence = config.error_ensembles(), config.incoherence_ensemble()
+    grids = {kind: (e, e.combined_with(incoherence)) for kind, e in errors.items()}
     keys = [(scheme, kind) for scheme in config.schemes for kind in errors]
-    cells = [(gates[s], e) for s, k in keys for e in (errors[k], errors[k].combined_with(incoherence))]
+    cells = [(gates[s], e) for s, k in keys for e in grids[k]]
     u_g = diffusion_unitary() @ oracle_unitary(config.marked)
     ideal_powers = [np.eye(4, dtype=complex)]
     for _ in range(config.iterations):
         ideal_powers.append(u_g @ ideal_powers[-1])
     means = []
-    for (_, ensemble), (uws, uds) in zip(cells, _gate_propagators(config, cells)):
-        total = 0.0
-        for real, uw, ud in zip(ensemble.realizations, uws, uds):
-            u_pg = ud @ uw
-            acc_p = np.eye(4, dtype=complex)
-            mean = 0.0
-            for u_g_j in ideal_powers[1:]:
-                acc_p = u_pg @ acc_p
-                mean += gate_fidelity(acc_p, u_g_j)
-            # (w * m) / n, not NoiseEnsemble.mean's w * (m / n): they round differently.
-            total += real.weight * mean / config.iterations
-        means.append(total)
+    with closing(_gate_propagators(config, cells)) as props:
+        for (_, ensemble), (uws, uds) in zip(cells, props):
+            total = 0.0
+            for real, uw, ud in zip(ensemble.realizations, uws, uds):
+                u_pg = ud @ uw
+                acc_p = np.eye(4, dtype=complex)
+                mean = 0.0
+                for u_g_j in ideal_powers[1:]:
+                    acc_p = u_pg @ acc_p
+                    mean += gate_fidelity(acc_p, u_g_j)
+                # (w * m) / n, not NoiseEnsemble.mean's w * (m / n): they round differently.
+                total += real.weight * mean / config.iterations
+            means.append(total)
     return [SweepRow(s, k, f, f_inc) for (s, k), f, f_inc in zip(keys, means[::2], means[1::2])]

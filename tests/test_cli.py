@@ -207,6 +207,16 @@ def test_sweep_with_a_propagator_that_is_not_unitary_exits_2(toy_workspace, caps
     assert err.startswith("error:") and "NoiseRealization(" in err and "not unitary" in err
 
 
+def test_a_repeated_scheme_exits_2_before_any_build(tmp_path, capsys):
+    cfg = toy_config(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg.to_dict() | {"schemes": ["none", "xy:90:20", "xy:90.0:20"]}))
+    assert main(["optimize", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'schemes'" in err and "'xy:90.0:20'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_unknown_scheme_exits_2_before_any_build(tmp_path, capsys):
     cfg = toy_config(tmp_path / "out")
     path = tmp_path / "config.json"

@@ -11,6 +11,7 @@ from ddgrape.core import (
     is_unitary,
     partial_trace,
     spin_operator,
+    unitarity_error,
     unitary_exp,
     von_neumann_entropy,
 )
@@ -81,6 +82,15 @@ def test_unitary_exp_inverse_and_composition():
         lhs = unitary_exp(h, t1) @ unitary_exp(h, t2)
         assert np.max(np.abs(lhs - unitary_exp(h, t1 + t2))) < 1e-10
         assert is_unitary(unitary_exp(h, t1))
+
+
+def test_unitarity_error_is_per_matrix_and_a_nan_fails():
+    u = random_unitary(np.random.default_rng(5))
+    nan = u.copy()
+    nan[1, 2] = np.nan
+    err = unitarity_error(np.array([u, 1.001 * u, nan]))
+    assert err.shape == (3,) and err[0] < 1e-14 and err[1] > 1e-3 and np.isnan(err[2])
+    assert is_unitary(u) and not is_unitary(1.001 * u) and not is_unitary(nan)
 
 
 def test_partial_trace_product_and_bell():

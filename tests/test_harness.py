@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,19 @@ def test_config_rejects_a_dd_pulse_above_omega_max(tmp_path, scheme, dt):
 def test_config_rejects_a_bad_scheme_naming_the_key_and_the_descriptor(tmp_path, scheme):
     with pytest.raises(ValueError, match=re.escape(repr(scheme)) + ".*'schemes'"):
         toy_config(tmp_path, schemes=("none", scheme))
+
+
+@pytest.mark.parametrize(
+    "schemes, repeated",
+    [
+        (("none", "none"), "none"),
+        (("none", "xy:90:20", "xy:90.0:20"), "xy:90.0:20"),
+        (("xy:90:20", " xy:90:20"), " xy:90:20"),
+    ],
+)
+def test_config_rejects_a_repeated_scheme_naming_the_key_and_the_descriptor(tmp_path, schemes, repeated):
+    with pytest.raises(ValueError, match=re.escape(repr(repeated)) + ".*'schemes'"):
+        toy_config(tmp_path, schemes=schemes)
 
 
 def test_config_ensembles_equal_the_former_factory_grids():
@@ -273,6 +287,30 @@ def test_one_pool_per_sweep_and_per_trajectory(toy_gates, monkeypatch):
     assert len(pools) == 2
 
 
+def test_the_sweep_pool_is_shut_down_before_the_sweep_returns_or_raises(toy_gates, monkeypatch):
+    cfg, gates = toy_gates
+    pools, shut = [], []
+
+    class RecordingPool(harness.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            shut.append(self)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    robustness_sweep(cfg, gates)
+    assert shut == pools
+    # A failure in the reduction, after the first cell arrived.
+    monkeypatch.setattr(harness, "gate_fidelity", lambda *args: 1 / 0)
+    # The kept traceback holds the sweep's frame, and with it the generator.
+    with pytest.raises(ZeroDivisionError) as failure:
+        robustness_sweep(cfg, gates)
+    assert len(pools) == 2 and shut == pools, failure
+
+
 def test_a_propagator_that_is_not_unitary_is_an_error_naming_its_member(toy_gates, monkeypatch):
     cfg, gates = toy_gates
     noise = cfg.incoherence_ensemble()
@@ -300,3 +338,40 @@ def test_a_propagator_that_is_not_unitary_cancels_the_jobs_not_yet_started(toy_g
         robustness_sweep(cfg, gates)
     assert len(calls) < jobs // 4, (len(calls), jobs)
 
+
+def test_a_nan_propagator_is_an_error_naming_the_first_such_member_in_job_order(toy_gates, monkeypatch):
+    cfg, gates = toy_gates
+    noise = cfg.incoherence_ensemble()
+    # Job order is every oracle member, then every diffusion member: the
+    # oracle job of member 2 comes before the diffusion job of member 1.
+    nan_jobs = [(gates["none"].pulse_w, noise.realizations[2]), (gates["none"].pulse_d, noise.realizations[1])]
+    propagator = harness.sequence_propagator
+
+    def with_nan(pulse, system, member):
+        u = propagator(pulse, system, member)
+        if any(p is pulse and m == member for p, m in nan_jobs):
+            u[3, 3] = np.nan
+        return u
+
+    monkeypatch.setattr(harness, "sequence_propagator", with_nan)
+    with pytest.raises(ValueError, match=re.escape(repr(noise.realizations[2])) + ".*not unitary"):
+        run_trajectory(cfg, "none", noise, gates)
+
+
+def test_sweep_memory_does_not_grow_with_the_number_of_jobs(toy_gates):
+    # The sweep holds one cell until it has reduced it, so the job count is
+    # grown at a fixed cell size: more schemes (reusing the xy:90:20 gates)
+    # give more cells of the same size, 192 jobs and then 960.
+    cfg, gates = toy_gates
+    more = cfg.schemes + ("xy:90:30", "xy:180:20", "xy:180:30", "xx:90:20", "xx:90:30", "xx:180:20", "xx:180:30")
+    more += ("xy:90:60",)
+    gate_sets = dict.fromkeys(more, gates["xy:90:20"]) | gates
+    peaks = []
+    for schemes in (cfg.schemes, more):
+        tracemalloc.start()
+        try:
+            robustness_sweep(dataclasses.replace(cfg, schemes=schemes), gate_sets)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
