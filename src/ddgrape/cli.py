@@ -148,7 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 after a usage error
+        return 0 if exc.code == 0 else 1
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 1

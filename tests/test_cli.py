@@ -102,10 +102,36 @@ def test_simulate_writes_trajectory(toy_workspace, capsys):
     assert rows[2].startswith("H,")
 
 
-def test_simulate_unknown_noise_rejected(toy_workspace):
+def test_simulate_unknown_noise_rejected(toy_workspace, capsys):
     _, config_path = toy_workspace
-    with pytest.raises(SystemExit):
-        main(["simulate", "--config", str(config_path), "--scheme", "none", "--noise", "bogus"])
+    assert main(["simulate", "--config", str(config_path), "--scheme", "none", "--noise", "bogus"]) == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["optimize"], "the following arguments are required: --config"),
+        (["sweep", "--quiet", "--config", "c.json"], "unrecognized arguments: --quiet"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["discord", "--state", "s.txt", "--epsilon", "abc"], "invalid float value: 'abc'"),
+    ],
+)
+def test_usage_error_exits_1_with_usage_and_no_traceback(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: ddgrape")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: ddgrape")
+    assert captured.err == ""
 
 
 def test_sweep_command(toy_workspace, capsys):

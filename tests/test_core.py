@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_mixed_state, random_unitary
 from ddgrape.core import (
     ID4,
     InvalidStateError,
     SIGMA_X,
+    TAYLOR_THETA,
+    batched_unitary_exp,
     collective_operator,
     entropy_2x2,
     is_unitary,
@@ -82,6 +87,43 @@ def test_unitary_exp_inverse_and_composition():
         lhs = unitary_exp(h, t1) @ unitary_exp(h, t2)
         assert np.max(np.abs(lhs - unitary_exp(h, t1 + t2))) < 1e-10
         assert is_unitary(unitary_exp(h, t1))
+
+
+def _hermitian_stack(rng, d, norms):
+    """Random Hermitian (len(norms), d, d) stack with the given 1-norms."""
+    n = len(norms)
+    z = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    h = (z + np.swapaxes(z.conj(), -1, -2)) / 2
+    return h * (norms / np.linalg.norm(h, 1, axis=(-2, -1)))[:, None, None]
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("n", [0, 1, 1470])
+def test_batched_unitary_exp_matches_expm(n, d):
+    # 1-norms of scale * H from 1e-3 to 40: at most TAYLOR_THETA needs no
+    # squaring, 40 needs seven; a DD hard pulse is about pi * 1.1.
+    rng = np.random.default_rng(100 * d + n)
+    scale = 0.5
+    norms = np.geomspace(1e-3, 40.0, n) if n > 1 else np.full(n, np.pi * 1.1)
+    h = _hermitian_stack(rng, d, norms / scale)
+    u = batched_unitary_exp(h, scale)
+    assert u.shape == (n, d, d) and u.dtype == complex
+    if n > 1:
+        assert norms.min() < TAYLOR_THETA < norms.max()
+    for uk, hk, norm in zip(u, h, norms):
+        assert np.abs(uk - scipy.linalg.expm(-1j * scale * hk)).max() <= 1e-14 * max(1.0, norm)
+    assert np.all(unitarity_error(u) <= 1e-13)
+
+
+def test_batched_unitary_exp_of_a_zero_generator_is_exactly_the_identity():
+    h = np.zeros((3, 4, 4), dtype=complex)
+    h[1] = _hermitian_stack(np.random.default_rng(7), 4, [10.0])[0]  # squared in the same block
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = batched_unitary_exp(h, 2.0)
+        assert np.array_equal(unitary_exp(np.zeros((4, 4), dtype=complex), 2.0), ID4)
+    assert np.array_equal(u[[0, 2]], [ID4, ID4])
+    assert np.abs(u[1] - scipy.linalg.expm(-2j * h[1])).max() <= 1e-13
 
 
 def test_unitarity_error_is_per_matrix_and_a_nan_fails():

@@ -77,8 +77,9 @@ def test_robust_fidelity_symmetric_rf_pair_on_resonant_rotation():
 def test_sequence_propagator_scores_desk_pulses_as_robust_fidelity_does(desk_gates):
     # sequence_propagator (the sweep and trajectories) exponentiates in each
     # segment's control-phase frame with a real eigh; robust_fidelity (gate
-    # builds and gates.csv) keeps the complex eigenbasis. Both must score the
-    # ten shipped pulses alike under every RFI member.
+    # builds and gates.csv) uses the Taylor core.batched_unitary_exp of
+    # segment_hamiltonians. Both must score the ten shipped pulses alike
+    # under every RFI member.
     cfg, gates = desk_gates
     rfi = cfg.rfi_ensemble()
     targets = {"uw": TargetGate(oracle_unitary(cfg.marked), "uw"), "ud": TargetGate(diffusion_unitary(), "ud")}
