@@ -41,11 +41,11 @@ def _noise_ensemble(config: ExperimentConfig, name: str) -> NoiseEnsemble:
 
 def cmd_optimize(args, config: ExperimentConfig):
     gates = build_protected_gates(config, verbose=not args.quiet)
-    rows = [
-        (scheme, label, report.fidelity, int(min(gs.report_w.fidelity, gs.report_d.fidelity) < config.fidelity_goal))
-        for scheme, gs in gates.items()
-        for label, report in (("uw", gs.report_w), ("ud", gs.report_d))
-    ]
+    rows = []
+    for scheme, gs in gates.items():
+        # `not >=` flags a NaN fidelity too, which `<` and min() would let through.
+        warning = int(not all(r.fidelity >= config.fidelity_goal for r in (gs.report_w, gs.report_d)))
+        rows += [(scheme, "uw", gs.report_w.fidelity, warning), (scheme, "ud", gs.report_d.fidelity, warning)]
     return "gates.csv", "scheme,target,mean_fidelity,warning", rows
 
 

@@ -48,8 +48,8 @@ def collective_operator(axis: str) -> np.ndarray:
     return spin_operator(1, axis) + spin_operator(2, axis)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - dagger(m))) <= HERMITICITY_TOL)
 
 
 def unitarity_error(u: np.ndarray) -> np.ndarray:
@@ -58,8 +58,8 @@ def unitarity_error(u: np.ndarray) -> np.ndarray:
     return np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    return bool(unitarity_error(u) <= tol)
+def is_unitary(u: np.ndarray) -> bool:
+    return bool(unitarity_error(u) <= UNITARITY_TOL)
 
 
 def unitary_exp(generator: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -136,13 +136,20 @@ def check_density_matrix(rho: np.ndarray) -> None:
     """Enforce finite entries, Hermiticity, unit trace, and positivity up to round-off."""
     if not np.all(np.isfinite(rho)):
         raise InvalidStateError("density matrix has a non-finite entry")
-    if np.max(np.abs(rho - dagger(rho))) > HERMITICITY_TOL:
+    if not is_hermitian(rho):
         raise InvalidStateError("density matrix is not Hermitian within 1e-12")
     if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
         raise InvalidStateError("density matrix trace differs from 1 by more than 1e-10")
+    clamped_eigenvalues(rho)
+
+
+def clamped_eigenvalues(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues of rho's Hermitian part, those in [-1e-10, 0) clamped to zero to
+    absorb round-off from long propagator chains; one below is an InvalidStateError."""
     evals = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
     if np.min(evals) < -EIGENVALUE_CLAMP:
         raise InvalidStateError(f"density matrix has eigenvalue {np.min(evals):.3e} < -1e-10")
+    return np.clip(evals, 0.0, None)
 
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
@@ -156,15 +163,8 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-sum lambda log2 lambda over eigenvalues, with 0*log(0) = 0.
-
-    Eigenvalues in [-1e-10, 0) are clamped to zero to absorb round-off
-    from long propagator chains; anything below that is rejected.
-    """
-    evals = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    if np.min(evals) < -EIGENVALUE_CLAMP:
-        raise InvalidStateError(f"eigenvalue {np.min(evals):.3e} below -1e-10")
-    evals = np.clip(evals, 0.0, None)
+    """-sum lambda log2 lambda over the clamped_eigenvalues, with 0*log(0) = 0."""
+    evals = clamped_eigenvalues(rho)
     nz = evals[evals > 0]
     return float(-np.sum(nz * np.log2(nz)))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ddgrape.core import ID4, collective_operator, global_phase_distance, unitary_exp
-from ddgrape.nmr import PulseSequence
+from ddgrape.nmr import PulseSequence, within_omega_max
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,6 @@ class DDScheme:
         phases, flip, spacing = parts
         return DDScheme(flip_deg=float(flip), phases=tuple(phases), spacing=int(spacing))
 
-    def format(self) -> str:
-        flip = int(self.flip_deg) if float(self.flip_deg).is_integer() else self.flip_deg
-        return f"{''.join(self.phases)}:{flip}:{self.spacing}"
-
 
 @dataclass(frozen=True)
 class DDPlacement:
@@ -59,10 +55,6 @@ class DDPlacement:
         if not (len(self.indices) == len(self.flips_deg) == len(self.phases)):
             raise ValueError("placement property lists must align with indices")
 
-    @property
-    def n_pulses(self) -> int:
-        return len(self.indices)
-
 
 def complete_blocks(n_segments: int, scheme: DDScheme) -> int:
     """Whole blocks of the scheme in n_segments, of which at least one must fit."""
@@ -75,7 +67,7 @@ def hard_pulse_amplitude(flip_deg: float, dt: float, omega_max: float) -> float:
     """beta/dt (rad/s) of a one-segment flip, for dt and omega_max as a PulseSequence
     holds them; it must be finite and within omega_max (1e-12 relative slack)."""
     amp = math.radians(flip_deg) / dt
-    if not (math.isfinite(amp) and abs(amp) <= omega_max * (1 + 1e-12)):
+    if not within_omega_max(abs(amp), omega_max):
         raise ValueError(f"DD amplitude {amp:.4g} rad/s is not within omega_max {omega_max:.4g}")
     return amp
 
@@ -116,17 +108,12 @@ def freeze_into(pulse: PulseSequence, placement: DDPlacement) -> PulseSequence:
     return out
 
 
-def net_rotation(placement: DDPlacement) -> np.ndarray:
-    """T_{M+1} = P_M ... P_1, the accumulated ideal DD rotation."""
+def is_cyclic(placement: DDPlacement) -> bool:
+    """True when the net rotation P_M ... P_1 is the identity up to a global phase (1e-10)."""
     t = ID4.copy()
     for flip, phase in zip(placement.flips_deg, placement.phases):
         t = ideal_dd_propagator(flip, phase) @ t
-    return t
-
-
-def is_cyclic(placement: DDPlacement, tol: float = 1e-10) -> bool:
-    """True when the net rotation is the identity up to a global phase."""
-    return global_phase_distance(net_rotation(placement), ID4) <= tol
+    return global_phase_distance(t, ID4) <= 1e-10
 
 
 def toggling_check(unitaries, placement: DDPlacement) -> float:
@@ -138,7 +125,7 @@ def toggling_check(unitaries, placement: DDPlacement) -> float:
     For cyclic schemes (net rotation = identity up to phase) the prefix
     T_{M+1} drops out and this is the textbook toggling identity.
     """
-    m = placement.n_pulses
+    m = len(placement.indices)
     if len(unitaries) != m + 1:
         raise ValueError(f"expected {m + 1} unitaries for {m} DD pulses, got {len(unitaries)}")
     pulses = [ideal_dd_propagator(f, p) for f, p in zip(placement.flips_deg, placement.phases)]

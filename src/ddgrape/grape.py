@@ -25,8 +25,10 @@ from ddgrape.nmr import (
     NoiseRealization,
     PulseSequence,
     SystemParams,
+    check_unitary,
     ordered_product,
     segment_hamiltonians,
+    within_omega_max,
 )
 
 
@@ -62,7 +64,6 @@ class OptimizationConfig:
 @dataclass
 class FidelityReport:
     fidelity: float
-    per_realization: list
 
 
 def gate_fidelity(u_p: np.ndarray, u_t: np.ndarray) -> float:
@@ -79,12 +80,11 @@ def robust_fidelity(
     params: SystemParams,
     ensemble: NoiseEnsemble,
 ) -> FidelityReport:
-    """Ensemble-mean gate fidelity, per-realization values retained."""
-    per = []
-    for real in ensemble.realizations:
-        us = batched_unitary_exp(segment_hamiltonians(pulse, params, real), pulse.dt)
-        per.append((real, gate_fidelity(ordered_product(us), target.unitary)))
-    return FidelityReport(fidelity=ensemble.mean(f for _, f in per), per_realization=per)
+    """Ensemble-mean gate fidelity, once every member's propagator passes check_unitary."""
+    members = ensemble.realizations
+    us = [ordered_product(batched_unitary_exp(segment_hamiltonians(pulse, params, r), pulse.dt)) for r in members]
+    check_unitary(np.array(us), members)
+    return FidelityReport(ensemble.mean(gate_fidelity(u, target.unitary) for u in us))
 
 
 # Matrices (segments x realizations) per block of the forward pass and the
@@ -266,7 +266,7 @@ def optimize(
     omega_max. Returns (pulse, FidelityReport, log of (iteration,
     mean_fidelity, step)); the step column is always 0.
     """
-    if np.any(np.hypot(initial.omega_x, initial.omega_y)[initial.frozen] > initial.omega_max * (1 + 1e-12)):
+    if not np.all(within_omega_max(np.hypot(initial.omega_x, initial.omega_y)[initial.frozen], initial.omega_max)):
         raise ValueError("initial pulse violates omega_max on frozen segments")
 
     pulse = clip_amplitudes(initial.copy(), config.free_bound)

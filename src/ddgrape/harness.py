@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ddgrape.core import UNITARITY_TOL, unitarity_error
 from ddgrape.dd import DDScheme, complete_blocks, freeze_into, hard_pulse_amplitude, place_dd
 from ddgrape.discord import quantum_discord
 from ddgrape.grape import (
@@ -53,9 +52,11 @@ from ddgrape.nmr import (
     NoiseRealization,
     PulseSequence,
     SystemParams,
+    check_unitary,
     load_pulse,
     pseudopure_state,
     save_pulse,
+    segment_hamiltonians,
     sequence_propagator,
 )
 
@@ -125,6 +126,7 @@ class ExperimentConfig:
             ("n_segments_per_gate", "dt", "omega_max", "amplitude_fraction"),
             lambda c: random_initial_pulse(c.n_segments_per_gate, c.dt, c.omega_max, c.amplitude_fraction, c.seed),
         )
+        self._build(("system", "incoherence_range", "rfi_scales", "flip_scales", "omega_max"), _overflow)
         # Two descriptors of one scheme would give it two sweep rows and two cached builds.
         seen = {}
         for s in self.schemes:
@@ -204,6 +206,17 @@ def _finite(v) -> bool:
         return False
 
 
+def _overflow(c: ExperimentConfig) -> None:
+    """Values that pass alone can overflow together: an omega_max segment's Hamiltonian must be
+    finite at the largest rf or flip scale, unshifted and at each end of incoherence_range."""
+    pulse = PulseSequence([c.omega_max], [0.0], [False], c.dt, c.omega_max)
+    for shift in (0.0, *c.incoherence_range):
+        member = NoiseRealization(rf_scale=max((*c.rfi_scales, *c.flip_scales)), offset_shift=shift)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(segment_hamiltonians(pulse, c.system, member)).all():
+                raise ValueError(f"the Hamiltonian of an omega_max pulse under {member} is not finite")
+
+
 def _fails(build, key: str, value) -> bool:
     """Whether build raises a ValueError or OverflowError on the default
     config with `key` set to `value`."""
@@ -217,8 +230,8 @@ def _fails(build, key: str, value) -> bool:
 
 
 def _parse_value(key: str, value, default):
-    """`value` checked against the type of the field's default; lists become
-    tuples and the system object becomes SystemParams."""
+    """`value` checked against the type of the field's default. Lists become tuples, the system
+    object SystemParams, and an int for a float a float (numpy takes no int beyond int64)."""
     if isinstance(default, SystemParams):
         if not isinstance(value, dict):
             raise ValueError(f"config key {key!r} must be an object")
@@ -239,7 +252,7 @@ def _parse_value(key: str, value, default):
         raise ValueError(f"config key {key!r} must be of type {type(default).__name__}")
     if isinstance(default, float) and isinstance(value, int) and not _finite(value):
         raise ValueError(f"config key {key!r} is too large for a float")
-    return value
+    return float(value) if isinstance(default, float) else value
 
 
 @dataclass
@@ -433,9 +446,8 @@ def _gate_propagators(config: ExperimentConfig, cells):
     The jobs (each cell's oracle members, then its diffusion members) run on
     one pool of worker_count() threads, with at most 2 * worker_count() of
     them submitted and not yet taken, so memory does not grow with the job
-    count. A cell's propagators are checked in one batch as it is taken: the
-    first, in job order, that is not unitary to 1e-10 is an error naming its
-    member. The pool is shut down, with the jobs not yet started cancelled,
+    count. A cell's propagators are checked in one check_unitary batch as it
+    is taken. The pool is shut down, with the jobs not yet started cancelled,
     when the generator ends, raises or is closed."""
     workers = worker_count()
     jobs = ((p, m) for g, e in cells for p in (g.pulse_w, g.pulse_d) for m in e.realizations)
@@ -454,10 +466,7 @@ def _gate_propagators(config: ExperimentConfig, cells):
         for _, e in cells:
             n = len(e.realizations)
             props = [take() for _ in range(2 * n)]
-            unitary = unitarity_error(np.array(props)) <= UNITARITY_TOL
-            if not unitary.all():
-                member = e.realizations[np.argmin(unitary) % n]
-                raise ValueError(f"the propagator of noise member {member} is not unitary to 1e-10")
+            check_unitary(np.array(props), e.realizations)
             yield props[:n], props[n:]
     finally:
         pool.shutdown(cancel_futures=True)

@@ -22,17 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ddgrape.core import spin_operator
+from ddgrape.core import UNITARITY_TOL, collective_operator, spin_operator, unitarity_error
 
-I1X = spin_operator(1, "x")
-I1Y = spin_operator(1, "y")
 I1Z = spin_operator(1, "z")
-I2X = spin_operator(2, "x")
-I2Y = spin_operator(2, "y")
 I2Z = spin_operator(2, "z")
-FX = I1X + I2X
-FY = I1Y + I2Y
-FZ = I1Z + I2Z
+FX = collective_operator("x")
+FY = collective_operator("y")
 I1ZI2Z = I1Z @ I2Z
 
 TWO_PI = 2.0 * math.pi
@@ -126,6 +121,11 @@ class NoiseEnsemble:
         return NoiseEnsemble(tuple(members))
 
 
+def within_omega_max(norm, omega_max: float):
+    """Whether amplitude norms are finite and within omega_max (1e-12 relative slack)."""
+    return np.isfinite(norm) & (norm <= omega_max * (1 + 1e-12))
+
+
 @dataclass
 class PulseSequence:
     """Piecewise-constant control amplitudes with a frozen-segment mask.
@@ -178,11 +178,6 @@ def system_hamiltonian(params: SystemParams) -> np.ndarray:
         - TWO_PI * params.offset2 * I2Z
         + TWO_PI * params.coupling * I1ZI2Z
     )
-
-
-def control_hamiltonian(omega_x: float, omega_y: float) -> np.ndarray:
-    """Omega_x*(I1x+I2x) + Omega_y*(I1y+I2y), amplitudes in rad/s."""
-    return omega_x * FX + omega_y * FY
 
 
 def apply_noise_to_amplitudes(omega_x, omega_y, noise: NoiseRealization):
@@ -259,6 +254,14 @@ def sequence_propagator(
     us[:, :, 0] *= phase[:, None]
     us[:, :, 3] *= phase.conj()[:, None]
     return ordered_product(us)
+
+
+def check_unitary(us: np.ndarray, members) -> None:
+    """Raise a ValueError naming the first member whose propagator is not
+    unitary to 1e-10 (a NaN fails); entry i of `us` is members[i % len(members)]'s."""
+    bad = np.flatnonzero(~(unitarity_error(us) <= UNITARITY_TOL))
+    if bad.size:
+        raise ValueError(f"the propagator of noise member {members[bad[0] % len(members)]} is not unitary to 1e-10")
 
 
 def evolve_ensemble(rho0: np.ndarray, ensemble: NoiseEnsemble, stages) -> list[np.ndarray]:
@@ -343,7 +346,7 @@ def _parse_pulse(path) -> PulseSequence:
     if dt is None or omega_max is None:
         raise ValueError("missing dt_seconds / omega_max_rad_s header")
     pulse = PulseSequence(np.array(ox), np.array(oy), np.array(fr, dtype=bool), dt, omega_max)
-    over = np.hypot(pulse.omega_x, pulse.omega_y) > omega_max * (1 + 1e-12)
+    over = ~within_omega_max(np.hypot(pulse.omega_x, pulse.omega_y), omega_max)
     if np.any(over):
         raise ValueError(f"row {int(np.argmax(over))} has an amplitude norm above omega_max_rad_s={omega_max!r}")
     return pulse

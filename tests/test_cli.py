@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_config
-from ddgrape import harness
+from ddgrape import cli, harness
 from ddgrape.cli import main
 from ddgrape.discord import save_state
+from ddgrape.grape import FidelityReport
 from ddgrape.harness import ExperimentConfig, _pulse_path
 from ddgrape.nmr import load_pulse
 
@@ -358,6 +359,42 @@ def test_gates_csv_flags_every_gate_of_a_scheme_whose_lower_fidelity_misses_the_
     assert flags == {(s, t): str(int(s == failing)) for s in gates for t in ("uw", "ud")}
 
 
+def test_gates_csv_flags_a_scheme_with_a_nan_fidelity(cached_gates_copy, monkeypatch):
+    config_path, _ = cached_gates_copy()
+    build = cli.build_protected_gates
+
+    def nan_diffusion_gates(config, verbose=False):
+        gates = build(config, verbose)
+        return {s: dataclasses.replace(g, report_d=FidelityReport(math.nan)) for s, g in gates.items()}
+
+    monkeypatch.setattr(cli, "build_protected_gates", nan_diffusion_gates)
+    assert main(["optimize", "--config", str(config_path), "--quiet"]) == 0
+    rows = [line.split(",") for line in (config_path.parent / "gates.csv").read_text().splitlines()[1:]]
+    assert [(t, w) for _, t, _, w in rows] == [("uw", "1"), ("ud", "1")] * 2
+
+
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"system": {"offset1": 1e308, "offset2": -1e308, "coupling": 70.0}}, "system"),
+        ({"incoherence_range": [0.0, 1e308]}, "incoherence_range"),
+        ({"rfi_scales": [1e308]}, "rfi_scales"),
+        ({"flip_scales": [1.0, 1e308]}, "flip_scales"),
+    ],
+)
+def test_a_config_whose_hamiltonians_overflow_exits_2_naming_the_key(cached_gates_copy, capsys, command, change, key):
+    # Each value passes alone, but 2 pi * offset or omega_max * scale is not
+    # finite. On this cache hit, nothing else would stop it.
+    config_path, _ = cached_gates_copy()
+    config_path.write_text(json.dumps(json.loads(config_path.read_text()) | change))
+    assert main([command, "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and repr(key) in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in config_path.parent.iterdir()) == ["config.json", "pulses"]
+
+
 def test_sweep_with_a_bad_thread_count_exits_2(toy_workspace, capsys, monkeypatch):
     _, config_path = toy_workspace
     monkeypatch.setenv("DDGRAPE_THREADS", "-1")
@@ -471,6 +508,67 @@ def test_fuzz_config_file(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz_config.json"
     path.write_text(text, encoding="utf-8")
     assert _exit_code(["simulate", "--config", str(path), "--scheme", "not-a-scheme"]) == 2
+
+
+numbers = (
+    st.sampled_from([0, 1, -1, 1e308, -1e308, 1e300, 1e-308, 5e-324, 10**400])
+    | st.floats(-2.0, 2.0)
+    | st.floats()
+    | st.integers()
+)
+number_lists = st.lists(numbers, min_size=1, max_size=3)
+# Every numeric config value but those that name or size the cached gates
+# (seed, n_segments_per_gate); a changed dt or omega_max fails the cache check.
+NUMERIC_VALUES = {
+    "system": st.fixed_dictionaries({"offset1": numbers, "offset2": numbers, "coupling": numbers}),
+    "rfi_scales": number_lists,
+    "flip_scales": number_lists,
+    "phase_offsets": number_lists,
+    "incoherence_range": st.lists(numbers, min_size=2, max_size=2),
+    "incoherence_points": st.integers(-2, 40),
+    "fidelity_goal": numbers,
+    "epsilon": numbers,
+    "amplitude_fraction": numbers,
+    "free_amplitude_bound": numbers,
+    "max_iterations": st.integers(),
+    "iterations": st.integers(-2, 8),
+    "marked": st.integers(-2, 5),
+    "dt": numbers,
+    "omega_max": numbers,
+}
+# One or two keys per config, so that many configs keep enough valid values
+# to reach the gates.
+numeric_changes = st.sets(st.sampled_from(sorted(NUMERIC_VALUES)), min_size=1, max_size=2).flatmap(
+    lambda keys: st.fixed_dictionaries({k: NUMERIC_VALUES[k] for k in keys})
+)
+
+
+@pytest.fixture(scope="module")
+def optimize_fuzz_workspace(cached_gates_copy):
+    config_path, _ = cached_gates_copy()
+    return config_path, json.loads(config_path.read_text())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(change=numeric_changes)
+def test_fuzz_numeric_config_values_on_a_cache_hit(optimize_fuzz_workspace, change):
+    # optimize on the cached toy gates: exit 0 or 2, and never a nan fidelity.
+    # A gate build (a cache miss) fails the test.
+    config_path, config = optimize_fuzz_workspace
+    config_path.write_text(json.dumps(config | change))
+    gates_csv = config_path.parent / "gates.csv"
+    gates_csv.unlink(missing_ok=True)
+
+    def refuse(*args):
+        raise AssertionError("a fuzzed config missed the gate cache")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "optimize", refuse)
+        code = _exit_code(["optimize", "--config", str(config_path), "--quiet"])
+    assert code in (0, 2)
+    assert gates_csv.exists() == (code == 0)
+    if code == 0:
+        assert "nan" not in gates_csv.read_text()
 
 
 PULSE_FUZZ = settings(max_examples=60, deadline=None, derandomize=True)

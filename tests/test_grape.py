@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import random_unitary
+from ddgrape import grape
 from ddgrape.core import ID4, collective_operator, spin_operator, unitary_exp
 from ddgrape.dd import DDScheme, freeze_into, place_dd
 from ddgrape.grape import (
@@ -58,8 +60,11 @@ def test_robust_fidelity_identity_and_convexity():
     assert single.fidelity == pytest.approx(
         gate_fidelity(sequence_propagator(pulse, params), target.unitary), abs=1e-12
     )
-    report = robust_fidelity(pulse, target, params, ExperimentConfig().rfi_ensemble())
-    assert report.fidelity <= max(f for _, f in report.per_realization) + 1e-12
+    rfi = ExperimentConfig().rfi_ensemble()
+    report = robust_fidelity(pulse, target, params, rfi)
+    members = [robust_fidelity(pulse, target, params, NoiseEnsemble.uniform([r])).fidelity for r in rfi.realizations]
+    assert report.fidelity == rfi.mean(members)
+    assert report.fidelity <= max(members) + 1e-12
 
 
 def test_robust_fidelity_symmetric_rf_pair_on_resonant_rotation():
@@ -69,9 +74,27 @@ def test_robust_fidelity_symmetric_rf_pair_on_resonant_rotation():
     pulse = PulseSequence(np.array([0.5 * math.pi / dt]), np.array([0.0]), np.zeros(1, bool), dt, OMEGA_MAX)
     target = TargetGate(unitary_exp(collective_operator("x"), 0.5 * math.pi))
     ens = NoiseEnsemble((NoiseRealization(rf_scale=0.95, weight=0.5), NoiseRealization(rf_scale=1.05, weight=0.5)))
-    report = robust_fidelity(pulse, target, params, ens)
-    f1, f2 = (f for _, f in report.per_realization)
+    f1, f2 = (robust_fidelity(pulse, target, params, NoiseEnsemble.uniform([r])).fidelity for r in ens.realizations)
     assert f1 == pytest.approx(f2, abs=1e-12)
+    assert robust_fidelity(pulse, target, params, ens).fidelity == ens.mean([f1, f2])
+
+
+@pytest.mark.parametrize("spoil", [math.nan, 1e4j], ids=["nan", "not-hermitian"])
+def test_robust_fidelity_names_the_member_whose_product_is_not_unitary(monkeypatch, spoil):
+    params = SystemParams(436, -436, 7)
+    pulse = random_initial_pulse(10, 5.1e-6, OMEGA_MAX, 0.2, 5)
+    target = TargetGate(ID4.copy())
+    rfi = ExperimentConfig().rfi_ensemble()
+    culprit = rfi.realizations[3]
+    hamiltonians = grape.segment_hamiltonians
+
+    def spoiled(pulse, params, real):
+        h = hamiltonians(pulse, params, real)
+        return h + spoil * np.eye(4) if real == culprit else h
+
+    monkeypatch.setattr(grape, "segment_hamiltonians", spoiled)
+    with pytest.raises(ValueError, match=re.escape(f"noise member {culprit} is not unitary")):
+        robust_fidelity(pulse, target, params, rfi)
 
 
 def test_sequence_propagator_scores_desk_pulses_as_robust_fidelity_does(desk_gates):
@@ -87,7 +110,8 @@ def test_sequence_propagator_scores_desk_pulses_as_robust_fidelity_does(desk_gat
     for gate_set in gates.values():
         for label, pulse in (("uw", gate_set.pulse_w), ("ud", gate_set.pulse_d)):
             target = targets[label]
-            for real, f in robust_fidelity(pulse, target, cfg.system, rfi).per_realization:
+            for real in rfi.realizations:
+                f = robust_fidelity(pulse, target, cfg.system, NoiseEnsemble.uniform([real])).fidelity
                 u = sequence_propagator(pulse, cfg.system, real)
                 assert abs(gate_fidelity(u, target.unitary) - f) <= 1e-12
                 checked += 1

@@ -24,7 +24,14 @@ from ddgrape.harness import (
     worker_count,
 )
 from ddgrape.grover import HADAMARD2, StageLabel
-from ddgrape.nmr import NoiseEnsemble, NoiseRealization, evolve_ensemble, pseudopure_state, sequence_propagator
+from ddgrape.nmr import (
+    NoiseEnsemble,
+    NoiseRealization,
+    SystemParams,
+    evolve_ensemble,
+    pseudopure_state,
+    sequence_propagator,
+)
 
 
 def _mk_records(probs, discords):
@@ -83,6 +90,14 @@ def test_config_json_roundtrip(tmp_path):
     path.write_text(json.dumps(cfg.to_dict()))
     back = ExperimentConfig.from_json(path)
     assert back == cfg
+
+
+def test_config_reads_an_integer_for_a_float_key_as_a_float():
+    # np.linspace raised a TypeError on an int below the int64 range.
+    system = {"offset1": 436, "offset2": -436, "coupling": 70}
+    cfg = ExperimentConfig.from_dict({"incoherence_range": [0, -(2**63) - 1], "system": system})
+    assert cfg.incoherence_range == (0.0, -(2.0**63)) and cfg.system == SystemParams(436.0, -436.0, 70.0)
+    assert all(type(v) is float for v in (*cfg.incoherence_range, *dataclasses.astuple(cfg.system)))
 
 
 def test_config_rejects_spacing_larger_than_gate():

@@ -11,11 +11,12 @@ from conftest import random_unitary
 from ddgrape.core import ID4, collective_operator, is_unitary, unitary_exp
 from ddgrape.dd import DDScheme, freeze_into, place_dd
 from ddgrape.nmr import (
+    FX,
+    FY,
     NoiseEnsemble,
     NoiseRealization,
     PulseSequence,
     SystemParams,
-    control_hamiltonian,
     evolve_ensemble,
     load_pulse,
     ordered_product,
@@ -24,6 +25,7 @@ from ddgrape.nmr import (
     segment_hamiltonians,
     sequence_propagator,
     system_hamiltonian,
+    within_omega_max,
 )
 
 TWO_PI = 2 * math.pi
@@ -71,7 +73,7 @@ def test_segment_propagator_phase_noise_matches_rotated_control():
     u = sequence_propagator(_one_segment(ox, oy, dt), params, noise)
     rx = ox * math.cos(phi) - oy * math.sin(phi)
     ry = ox * math.sin(phi) + oy * math.cos(phi)
-    h = system_hamiltonian(params) + control_hamiltonian(rx, ry)
+    h = system_hamiltonian(params) + rx * FX + ry * FY
     assert np.max(np.abs(u - unitary_exp(h, dt))) < 1e-12
 
 
@@ -110,7 +112,7 @@ def test_sequence_propagator_against_bruteforce_product():
     # independent left-multiplication loop over single-matrix exponentials
     expected = ID4.copy()
     for ox, oy in zip(pulse.omega_x, pulse.omega_y):
-        h = system_hamiltonian(params) + control_hamiltonian(ox, oy)
+        h = system_hamiltonian(params) + ox * FX + oy * FY
         expected = unitary_exp(h, pulse.dt) @ expected
     assert np.max(np.abs(sequence_propagator(pulse, params) - expected)) < 1e-10
 
@@ -419,3 +421,9 @@ def test_load_pulse_allows_round_off_above_omega_max(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="above omega_max"):
         load_pulse(path)
+
+
+def test_within_omega_max_allows_round_off_and_fails_nan_and_inf():
+    norms = np.array([1.0, 1.0 + 5e-13, 1.0 + 1e-11, math.nan, math.inf])
+    assert within_omega_max(norms, 1.0).tolist() == [True, True, False, False, False]
+    assert not within_omega_max(math.inf, math.inf)
