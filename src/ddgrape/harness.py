@@ -6,10 +6,10 @@ repeated runs with one config reuse the optimization results. A trajectory,
 and a whole sweep, gets its gate propagators from one `_gate_propagators`
 generator, which runs them on one pool of `worker_count()` threads
 (DDGRAPE_THREADS=1 runs them serially) through a window of at most
-2 * worker_count() pending jobs and yields them cell by cell in a fixed
-order. All ensemble and sweep reductions run in that order, so outputs are
-identical for any worker count and deterministic for a given config and
-seed.
+2 * worker_count() pending jobs and yields them member by member, as one
+(U_W, U_D) pair each, in a fixed order. All ensemble and sweep reductions
+run in that order, so outputs are identical for any worker count and
+deterministic for a given config and seed.
 """
 
 from __future__ import annotations
@@ -164,7 +164,9 @@ class ExperimentConfig:
 
     def incoherence_ensemble(self) -> NoiseEnsemble:
         """Common-mode offset grid modeling static field inhomogeneity."""
-        shifts = np.linspace(*self.incoherence_range, self.incoherence_points)
+        # A range whose width overflows gives NaN shifts, which NoiseRealization rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifts = np.linspace(*self.incoherence_range, self.incoherence_points)
         return NoiseEnsemble.uniform(NoiseRealization(offset_shift=float(s)) for s in shifts)
 
     def error_ensembles(self) -> dict[str, NoiseEnsemble]:
@@ -195,7 +197,11 @@ class ExperimentConfig:
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
         with open(path) as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"config file {path} is nested too deeply to read") from None
+        return ExperimentConfig.from_dict(d)
 
 
 def _finite(v) -> bool:
@@ -386,7 +392,7 @@ def run_trajectory(config: ExperimentConfig, scheme: str, noise: NoiseEnsemble, 
     Records marked-state probability, discord, and epsilon-scaled discord
     after every stage.
     """
-    ((uw, ud),) = _gate_propagators(config, [(gates[scheme], noise)])
+    uw, ud = zip(*_gate_propagators(config, [(gates[scheme], m) for m in noise.realizations]))
     stages = grover_stages(config.grover_spec(), pseudopure_state(config.epsilon), noise, uw, ud)
     return [_record(config, label, rho) for label, rho in stages]
 
@@ -440,34 +446,32 @@ class SweepRow:
     mean_fidelity_incoherent: float
 
 
-def _gate_propagators(config: ExperimentConfig, cells):
-    """Yield each (gate_set, ensemble) cell's oracle and diffusion
-    propagators, in cell order, as a (uw, ud) pair of lists in member order.
-    The jobs (each cell's oracle members, then its diffusion members) run on
-    one pool of worker_count() threads, with at most 2 * worker_count() of
-    them submitted and not yet taken, so memory does not grow with the job
-    count. A cell's propagators are checked in one check_unitary batch as it
-    is taken. The pool is shut down, with the jobs not yet started cancelled,
+def _gate_propagators(config: ExperimentConfig, jobs):
+    """Yield each (gate_set, member) job's oracle and diffusion propagators as
+    a (uw, ud) pair, in job order. A member's two propagations are queued next
+    to each other and run on one pool of worker_count() threads, with at most
+    2 * worker_count() of them submitted and not yet taken, so memory does not
+    grow with the job count. Each pair passes check_unitary as it is taken.
+    The pool is shut down, with the propagations not yet started cancelled,
     when the generator ends, raises or is closed."""
     workers = worker_count()
-    jobs = ((p, m) for g, e in cells for p in (g.pulse_w, g.pulse_d) for m in e.realizations)
+    calls = ((p, m) for g, m in jobs for p in (g.pulse_w, g.pulse_d))
     pool = ThreadPoolExecutor(max_workers=workers)
 
-    def submit(job):
-        return pool.submit(sequence_propagator, job[0], config.system, job[1])
+    def submit(call):
+        return pool.submit(sequence_propagator, call[0], config.system, call[1])
 
     def take():
         u = window.popleft().result()
-        window.extend(map(submit, islice(jobs, 1)))
+        window.extend(map(submit, islice(calls, 1)))
         return u
 
     try:
-        window = deque(map(submit, islice(jobs, 2 * workers)))
-        for _, e in cells:
-            n = len(e.realizations)
-            props = [take() for _ in range(2 * n)]
-            check_unitary(np.array(props), e.realizations)
-            yield props[:n], props[n:]
+        window = deque(map(submit, islice(calls, 2 * workers)))
+        for _, m in jobs:
+            uw, ud = take(), take()
+            check_unitary(np.array([uw, ud]), [m])
+            yield uw, ud
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -476,21 +480,22 @@ def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
     """Mean Grover-iterate fidelity F_bar = (1/6) sum_j F(U_PG^j, U_G^j),
     weight-averaged over noise members, per scheme under flip/phase error
     grids, without and with the incoherence ensemble. The propagators of
-    every cell come from one _gate_propagators call; each cell is reduced as
-    it arrives and its propagators are then dropped."""
+    every member come from one _gate_propagators call; each member is reduced
+    as its pair arrives and its propagators are then dropped."""
     errors, incoherence = config.error_ensembles(), config.incoherence_ensemble()
     grids = {kind: (e, e.combined_with(incoherence)) for kind, e in errors.items()}
     keys = [(scheme, kind) for scheme in config.schemes for kind in errors]
-    cells = [(gates[s], e) for s, k in keys for e in grids[k]]
+    jobs = [(gates[s], m) for s, k in keys for e in grids[k] for m in e.realizations]
     u_g = diffusion_unitary() @ oracle_unitary(config.marked)
     ideal_powers = [np.eye(4, dtype=complex)]
     for _ in range(config.iterations):
         ideal_powers.append(u_g @ ideal_powers[-1])
     means = []
-    with closing(_gate_propagators(config, cells)) as props:
-        for (_, ensemble), (uws, uds) in zip(cells, props):
+    with closing(_gate_propagators(config, jobs)) as props:
+        for ensemble in (e for _, k in keys for e in grids[k]):
             total = 0.0
-            for real, uw, ud in zip(ensemble.realizations, uws, uds):
+            # zip asks props for a pair only after this ensemble has yielded a member.
+            for real, (uw, ud) in zip(ensemble.realizations, props):
                 u_pg = ud @ uw
                 acc_p = np.eye(4, dtype=complex)
                 mean = 0.0

@@ -395,6 +395,28 @@ def test_a_config_whose_hamiltonians_overflow_exits_2_naming_the_key(cached_gate
     assert sorted(p.name for p in config_path.parent.iterdir()) == ["config.json", "pulses"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_incoherence_range_whose_width_overflows_exits_2_with_no_warning(tmp_path, capsys):
+    # The width hi - lo overflows inside np.linspace, whose RuntimeWarnings
+    # would reach stderr ahead of the error line; here they raise.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"incoherence_range": [-1e308, 1e308], "output_dir": str(tmp_path / "out")}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    first = captured.err.splitlines()[0]
+    assert first.startswith("error:") and "'incoherence_range'" in first
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_nested_too_deeply_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"schemes": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and "Traceback" not in err
+
+
 def test_sweep_with_a_bad_thread_count_exits_2(toy_workspace, capsys, monkeypatch):
     _, config_path = toy_workspace
     monkeypatch.setenv("DDGRAPE_THREADS", "-1")

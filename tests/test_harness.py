@@ -2,7 +2,9 @@ import dataclasses
 import json
 import math
 import re
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -357,8 +359,9 @@ def test_a_propagator_that_is_not_unitary_cancels_the_jobs_not_yet_started(toy_g
 def test_a_nan_propagator_is_an_error_naming_the_first_such_member_in_job_order(toy_gates, monkeypatch):
     cfg, gates = toy_gates
     noise = cfg.incoherence_ensemble()
-    # Job order is every oracle member, then every diffusion member: the
-    # oracle job of member 2 comes before the diffusion job of member 1.
+    # Job order is member by member, each member's oracle job and then its
+    # diffusion job: the diffusion job of member 1 comes before the oracle job
+    # of member 2.
     nan_jobs = [(gates["none"].pulse_w, noise.realizations[2]), (gates["none"].pulse_d, noise.realizations[1])]
     propagator = harness.sequence_propagator
 
@@ -369,14 +372,13 @@ def test_a_nan_propagator_is_an_error_naming_the_first_such_member_in_job_order(
         return u
 
     monkeypatch.setattr(harness, "sequence_propagator", with_nan)
-    with pytest.raises(ValueError, match=re.escape(repr(noise.realizations[2])) + ".*not unitary"):
+    with pytest.raises(ValueError, match=re.escape(repr(noise.realizations[1])) + ".*not unitary"):
         run_trajectory(cfg, "none", noise, gates)
 
 
 def test_sweep_memory_does_not_grow_with_the_number_of_jobs(toy_gates):
-    # The sweep holds one cell until it has reduced it, so the job count is
-    # grown at a fixed cell size: more schemes (reusing the xy:90:20 gates)
-    # give more cells of the same size, 192 jobs and then 960.
+    # More schemes (reusing the xy:90:20 gates) give more members of the same
+    # ensembles, 192 propagator jobs and then 960.
     cfg, gates = toy_gates
     more = cfg.schemes + ("xy:90:30", "xy:180:20", "xy:180:30", "xx:90:20", "xx:90:30", "xx:180:20", "xx:180:30")
     more += ("xy:90:60",)
@@ -390,3 +392,30 @@ def test_sweep_memory_does_not_grow_with_the_number_of_jobs(toy_gates):
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("points", [3, 41])
+def test_the_sweep_holds_a_bounded_number_of_propagators(toy_gates, monkeypatch, points):
+    # The sweep reduces each member as its pair arrives, so the propagators
+    # alive at once are the window's, the pair being checked and the pair
+    # being reduced, however many members an ensemble has.
+    cfg, gates = toy_gates
+    monkeypatch.setenv("DDGRAPE_THREADS", "2")
+    live, peak, lock = [0], [0], threading.Lock()
+    propagator = harness.sequence_propagator
+
+    def dropped():
+        with lock:
+            live[0] -= 1
+
+    def counted(*args):
+        u = propagator(*args)
+        weakref.finalize(u, dropped)
+        with lock:
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+        return u
+
+    monkeypatch.setattr(harness, "sequence_propagator", counted)
+    robustness_sweep(dataclasses.replace(cfg, incoherence_points=points), gates)
+    assert peak[0] <= 2 * worker_count() + 4, peak[0]
