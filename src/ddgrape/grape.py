@@ -143,10 +143,9 @@ def _fidelity_and_gradient(pulse, target, params, realizations):
     # differently, and L-BFGS amplifies that into a different pulse.
     dx, dy = [], []
     for real in realizations:
-        scale = real.rf_scale * real.flip_scale
         cph, sph = math.cos(real.phase_offset), math.sin(real.phase_offset)
-        dx.append(scale * (cph * FX + sph * FY))
-        dy.append(scale * (-sph * FX + cph * FY))
+        dx.append(real.rf_scale * (cph * FX + sph * FY))
+        dy.append(real.rf_scale * (-sph * FX + cph * FY))
     dx, dy = np.stack(dx), np.stack(dy)
 
     # prefix[j] = u_{a+j} ... u_1 within block a:b; prefix[0] carries over.

@@ -141,12 +141,12 @@ class ExperimentConfig:
             seen[d] = s
 
     def _build(self, keys, build, where=""):
-        """build(self). A ValueError or OverflowError becomes a ValueError
-        naming those of `keys` that fail the build alone, with every other
-        key at its default (all of them when none does)."""
+        """build(self). A ValueError, OverflowError or MemoryError becomes a
+        ValueError naming those of `keys` that fail the build alone, with
+        every other key at its default (all of them when none does)."""
         try:
             return build(self)
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError, MemoryError) as exc:
             at_fault = [k for k in keys if _fails(build, k, getattr(self, k))] or keys
             raise ValueError(f"{where}config key {' or '.join(map(repr, at_fault))}: {exc}") from exc
 
@@ -160,20 +160,21 @@ class ExperimentConfig:
 
     def rfi_ensemble(self) -> NoiseEnsemble:
         """RF-amplitude miscalibration grid, the GRAPE objective's ensemble."""
-        return NoiseEnsemble.uniform(NoiseRealization(rf_scale=s) for s in self.rfi_scales)
+        return NoiseEnsemble(tuple(NoiseRealization(rf_scale=s) for s in self.rfi_scales))
 
     def incoherence_ensemble(self) -> NoiseEnsemble:
         """Common-mode offset grid modeling static field inhomogeneity."""
         # A range whose width overflows gives NaN shifts, which NoiseRealization rejects.
         with np.errstate(over="ignore", invalid="ignore"):
             shifts = np.linspace(*self.incoherence_range, self.incoherence_points)
-        return NoiseEnsemble.uniform(NoiseRealization(offset_shift=float(s)) for s in shifts)
+        return NoiseEnsemble(tuple(NoiseRealization(offset_shift=float(s)) for s in shifts))
 
     def error_ensembles(self) -> dict[str, NoiseEnsemble]:
-        """The robustness sweep's flip-angle and phase error grids, by kind."""
+        """The robustness sweep's flip-angle and phase error grids, by kind;
+        a flip-angle error scales the amplitudes as rf_scale does."""
         return {
-            "flip": NoiseEnsemble.uniform(NoiseRealization(flip_scale=float(s)) for s in self.flip_scales),
-            "phase": NoiseEnsemble.uniform(NoiseRealization(phase_offset=float(p)) for p in self.phase_offsets),
+            "flip": NoiseEnsemble(tuple(NoiseRealization(rf_scale=float(s)) for s in self.flip_scales)),
+            "phase": NoiseEnsemble(tuple(NoiseRealization(phase_offset=float(p)) for p in self.phase_offsets)),
         }
 
     def to_dict(self) -> dict:
@@ -224,13 +225,13 @@ def _overflow(c: ExperimentConfig) -> None:
 
 
 def _fails(build, key: str, value) -> bool:
-    """Whether build raises a ValueError or OverflowError on the default
-    config with `key` set to `value`."""
+    """Whether build raises a ValueError, OverflowError or MemoryError on
+    the default config with `key` set to `value`."""
     trial = ExperimentConfig()
     setattr(trial, key, value)
     try:
         build(trial)
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, MemoryError):
         return True
     return False
 
@@ -478,10 +479,11 @@ def _gate_propagators(config: ExperimentConfig, jobs):
 
 def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
     """Mean Grover-iterate fidelity F_bar = (1/6) sum_j F(U_PG^j, U_G^j),
-    weight-averaged over noise members, per scheme under flip/phase error
-    grids, without and with the incoherence ensemble. The propagators of
-    every member come from one _gate_propagators call; each member is reduced
-    as its pair arrives and its propagators are then dropped."""
+    averaged over the members of an unweighted noise grid, per scheme under
+    flip/phase error grids, without and with the incoherence ensemble. The
+    propagators of every member come from one _gate_propagators call; each
+    member is reduced as its pair arrives and its propagators are then
+    dropped."""
     errors, incoherence = config.error_ensembles(), config.incoherence_ensemble()
     grids = {kind: (e, e.combined_with(incoherence)) for kind, e in errors.items()}
     keys = [(scheme, kind) for scheme in config.schemes for kind in errors]
@@ -493,9 +495,9 @@ def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
     means = []
     with closing(_gate_propagators(config, jobs)) as props:
         for ensemble in (e for _, k in keys for e in grids[k]):
-            total = 0.0
+            w, total = ensemble.weight, 0.0
             # zip asks props for a pair only after this ensemble has yielded a member.
-            for real, (uw, ud) in zip(ensemble.realizations, props):
+            for _, (uw, ud) in zip(ensemble.realizations, props):
                 u_pg = ud @ uw
                 acc_p = np.eye(4, dtype=complex)
                 mean = 0.0
@@ -503,6 +505,6 @@ def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
                     acc_p = u_pg @ acc_p
                     mean += gate_fidelity(acc_p, u_g_j)
                 # (w * m) / n, not NoiseEnsemble.mean's w * (m / n): they round differently.
-                total += real.weight * mean / config.iterations
+                total += w * mean / config.iterations
             means.append(total)
     return [SweepRow(s, k, f, f_inc) for (s, k), f, f_inc in zip(keys, means[::2], means[1::2])]

@@ -16,7 +16,6 @@ change in the gradient's rounding into a different optimized pulse.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -53,21 +52,19 @@ class SystemParams:
 class NoiseRealization:
     """One coherent-error realization, held fixed for a whole run.
 
-    rf_scale and flip_scale multiply both control amplitudes, offset_shift
-    (Hz) is added to both offsets, phase_offset (rad) rotates every
-    segment's control phase.
+    rf_scale is the one amplitude scale (RF miscalibration and flip-angle
+    errors alike): it multiplies both control amplitudes. offset_shift (Hz)
+    is added to both offsets, phase_offset (rad) rotates every segment's
+    control phase.
     """
 
     rf_scale: float = 1.0
     offset_shift: float = 0.0
-    flip_scale: float = 1.0
     phase_offset: float = 0.0
-    weight: float = 1.0
 
     def __post_init__(self):
-        values = (self.rf_scale, self.offset_shift, self.flip_scale, self.phase_offset, self.weight)
-        if not (all(map(math.isfinite, values)) and self.rf_scale > 0 and self.flip_scale > 0 and self.weight >= 0):
-            raise ValueError(f"fields must be finite, rf_scale and flip_scale > 0, weight >= 0; got {self!r}")
+        if not (all(map(math.isfinite, (self.rf_scale, self.offset_shift, self.phase_offset))) and self.rf_scale > 0):
+            raise ValueError(f"fields must be finite and rf_scale > 0; got {self!r}")
 
 
 IDENTITY_NOISE = NoiseRealization()
@@ -75,50 +72,46 @@ IDENTITY_NOISE = NoiseRealization()
 
 @dataclass(frozen=True)
 class NoiseEnsemble:
-    """Weighted set of noise realizations; weights must sum to 1."""
+    """Unweighted grid of noise realizations: every member counts 1/n."""
 
     realizations: tuple[NoiseRealization, ...]
 
     def __post_init__(self):
         if not self.realizations:
             raise ValueError("ensemble must contain at least one realization")
-        total = sum(r.weight for r in self.realizations)
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"ensemble weights sum to {total}, expected 1")
 
     @staticmethod
     def identity() -> "NoiseEnsemble":
         return NoiseEnsemble((IDENTITY_NOISE,))
 
-    @staticmethod
-    def uniform(members) -> "NoiseEnsemble":
-        """The members with equal weights 1/n, replacing their own weights."""
-        members = tuple(members)
-        return NoiseEnsemble(tuple(dataclasses.replace(m, weight=1.0 / len(members)) for m in members))
+    @property
+    def weight(self) -> float:
+        """1/n, the weight of every member."""
+        return 1.0 / len(self.realizations)
 
     def mean(self, values):
-        """sum_r w_r * values[r] over values given in member order, added
+        """sum_r w * values[r] over values given in member order, added
         left to right, so floats and arrays alike get a deterministic result."""
+        w = self.weight
         total = 0.0
-        for real, value in zip(self.realizations, values, strict=True):
-            total = total + real.weight * value
+        for _, value in zip(self.realizations, values, strict=True):
+            total = total + w * value
         return total
 
     def combined_with(self, other: "NoiseEnsemble") -> "NoiseEnsemble":
-        """Outer product of two ensembles (independent error sources)."""
-        members = []
-        for a in self.realizations:
-            for b in other.realizations:
-                members.append(
-                    NoiseRealization(
-                        rf_scale=a.rf_scale * b.rf_scale,
-                        offset_shift=a.offset_shift + b.offset_shift,
-                        flip_scale=a.flip_scale * b.flip_scale,
-                        phase_offset=a.phase_offset + b.phase_offset,
-                        weight=a.weight * b.weight,
-                    )
+        """Outer product of two ensembles (independent error sources): self's
+        members outer, other's inner; scales multiply, offsets and phases add."""
+        return NoiseEnsemble(
+            tuple(
+                NoiseRealization(
+                    rf_scale=a.rf_scale * b.rf_scale,
+                    offset_shift=a.offset_shift + b.offset_shift,
+                    phase_offset=a.phase_offset + b.phase_offset,
                 )
-        return NoiseEnsemble(tuple(members))
+                for a in self.realizations
+                for b in other.realizations
+            )
+        )
 
 
 def within_omega_max(norm, omega_max: float):
@@ -186,10 +179,9 @@ def apply_noise_to_amplitudes(omega_x, omega_y, noise: NoiseRealization):
     Amplitude scaling is applied first, then the phase rotation (the
     miscalibration acts on the emitted field). Works elementwise on arrays.
     """
-    scale = noise.rf_scale * noise.flip_scale
     c, s = math.cos(noise.phase_offset), math.sin(noise.phase_offset)
-    ox = scale * (np.asarray(omega_x) * c - np.asarray(omega_y) * s)
-    oy = scale * (np.asarray(omega_x) * s + np.asarray(omega_y) * c)
+    ox = noise.rf_scale * (np.asarray(omega_x) * c - np.asarray(omega_y) * s)
+    oy = noise.rf_scale * (np.asarray(omega_x) * s + np.asarray(omega_y) * c)
     return ox, oy
 
 

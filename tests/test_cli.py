@@ -409,6 +409,19 @@ def test_an_incoherence_range_whose_width_overflows_exits_2_with_no_warning(tmp_
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["n_segments_per_gate", "incoherence_points"])
+def test_a_size_that_cannot_be_allocated_exits_2_naming_the_key(tmp_path, capsys, key):
+    # 10**15 float64 values are 7.1 PiB, which numpy refuses to allocate at once.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: 10**15, "output_dir": str(tmp_path / "out")}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    first = captured.err.splitlines()[0]
+    assert first.startswith("error:") and repr(key) in first and "allocate" in first
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_config_nested_too_deeply_exits_2_naming_the_file(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text('{"schemes": ' + "[" * 100000 + "]" * 100000 + "}")

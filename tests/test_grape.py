@@ -62,7 +62,7 @@ def test_robust_fidelity_identity_and_convexity():
     )
     rfi = ExperimentConfig().rfi_ensemble()
     report = robust_fidelity(pulse, target, params, rfi)
-    members = [robust_fidelity(pulse, target, params, NoiseEnsemble.uniform([r])).fidelity for r in rfi.realizations]
+    members = [robust_fidelity(pulse, target, params, NoiseEnsemble((r,))).fidelity for r in rfi.realizations]
     assert report.fidelity == rfi.mean(members)
     assert report.fidelity <= max(members) + 1e-12
 
@@ -73,8 +73,8 @@ def test_robust_fidelity_symmetric_rf_pair_on_resonant_rotation():
     params = SystemParams(0, 0, 0)
     pulse = PulseSequence(np.array([0.5 * math.pi / dt]), np.array([0.0]), np.zeros(1, bool), dt, OMEGA_MAX)
     target = TargetGate(unitary_exp(collective_operator("x"), 0.5 * math.pi))
-    ens = NoiseEnsemble((NoiseRealization(rf_scale=0.95, weight=0.5), NoiseRealization(rf_scale=1.05, weight=0.5)))
-    f1, f2 = (robust_fidelity(pulse, target, params, NoiseEnsemble.uniform([r])).fidelity for r in ens.realizations)
+    ens = NoiseEnsemble((NoiseRealization(rf_scale=0.95), NoiseRealization(rf_scale=1.05)))
+    f1, f2 = (robust_fidelity(pulse, target, params, NoiseEnsemble((r,))).fidelity for r in ens.realizations)
     assert f1 == pytest.approx(f2, abs=1e-12)
     assert robust_fidelity(pulse, target, params, ens).fidelity == ens.mean([f1, f2])
 
@@ -111,7 +111,7 @@ def test_sequence_propagator_scores_desk_pulses_as_robust_fidelity_does(desk_gat
         for label, pulse in (("uw", gate_set.pulse_w), ("ud", gate_set.pulse_d)):
             target = targets[label]
             for real in rfi.realizations:
-                f = robust_fidelity(pulse, target, cfg.system, NoiseEnsemble.uniform([real])).fidelity
+                f = robust_fidelity(pulse, target, cfg.system, NoiseEnsemble((real,))).fidelity
                 u = sequence_propagator(pulse, cfg.system, real)
                 assert abs(gate_fidelity(u, target.unitary) - f) <= 1e-12
                 checked += 1
@@ -130,7 +130,7 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     params = SystemParams(436, -436, 70)
     target = TargetGate(random_unitary(rng))
-    noise = NoiseRealization(rf_scale=1.03, offset_shift=-4.0, flip_scale=0.98, phase_offset=0.2)
+    noise = NoiseRealization(rf_scale=1.03 * 0.98, offset_shift=-4.0, phase_offset=0.2)
     pulse = random_initial_pulse(12, 5.1e-6, OMEGA_MAX, 0.3, 33)
     gx, gy = fidelity_gradient(pulse, target, params, noise)
     h = 1e-3
@@ -264,10 +264,9 @@ def _oracle_fidelity_and_gradient(pulse, target, params, realization):
     den = lam_i - lam_j
     small = np.abs(den) < 1e-12
     gamma = np.where(small, -1j * dt * phases[:, :, None] * np.ones_like(den), num / np.where(small, 1.0, den))
-    scale = realization.rf_scale * realization.flip_scale
     cph, sph = math.cos(realization.phase_offset), math.sin(realization.phase_offset)
-    dx = scale * (cph * FX + sph * FY)
-    dy = scale * (-sph * FX + cph * FY)
+    dx = realization.rf_scale * (cph * FX + sph * FY)
+    dy = realization.rf_scale * (-sph * FX + cph * FY)
     v_dag = v.conj().swapaxes(-1, -2)
     c_tilde_t = (v_dag @ c @ v).swapaxes(-1, -2)
     x_x = v_dag @ (dx @ v)
@@ -284,10 +283,10 @@ def _oracle_fidelity_and_gradient(pulse, target, params, realization):
 
 MIXED_ENSEMBLE = NoiseEnsemble(
     (
-        NoiseRealization(rf_scale=0.93, weight=0.25),
-        NoiseRealization(offset_shift=-7.0, weight=0.25),
-        NoiseRealization(flip_scale=1.04, weight=0.25),
-        NoiseRealization(rf_scale=1.05, offset_shift=3.0, phase_offset=0.3, weight=0.25),
+        NoiseRealization(rf_scale=0.93),
+        NoiseRealization(offset_shift=-7.0),
+        NoiseRealization(rf_scale=1.04),
+        NoiseRealization(rf_scale=1.05, offset_shift=3.0, phase_offset=0.3),
     )
 )
 
@@ -301,12 +300,13 @@ def test_ensemble_gradient_bitwise_equals_per_realization_oracle():
     pulse = random_initial_pulse(k, cfg.dt, cfg.omega_max, cfg.amplitude_fraction, 2024)
     pulse = freeze_into(pulse, place_dd(k, DDScheme.parse("xy:90:100")))
     target = TargetGate(diffusion_unitary(), "ud")
+    w = 1 / len(MIXED_ENSEMBLE.realizations)
     mean_f, gx, gy = 0.0, np.zeros(k), np.zeros(k)
     for real in MIXED_ENSEMBLE.realizations:
         f, rx, ry = _oracle_fidelity_and_gradient(pulse, target, cfg.system, real)
-        mean_f += real.weight * f
-        gx += real.weight * rx
-        gy += real.weight * ry
+        mean_f += w * f
+        gx += w * rx
+        gy += w * ry
     fids, rx, ry = _fidelity_and_gradient(pulse, target, cfg.system, MIXED_ENSEMBLE.realizations)
     got_f, got_x, got_y = (MIXED_ENSEMBLE.mean(values) for values in (fids, rx, ry))
     assert got_f == mean_f

@@ -172,10 +172,10 @@ def test_config_ensembles_equal_the_former_factory_grids():
     # The realizations NoiseEnsemble's rf_inhomogeneity, incoherence,
     # flip_errors and phase_errors factories gave for the default config.
     cfg = ExperimentConfig()
-    rfi = tuple(NoiseRealization(rf_scale=s, weight=0.2) for s in (0.90, 0.95, 1.00, 1.05, 1.10))
-    incoherence = tuple(NoiseRealization(offset_shift=float(s), weight=1 / 21) for s in range(-10, 11))
-    flip = tuple(NoiseRealization(flip_scale=s, weight=1 / 3) for s in (0.95, 1.00, 1.05))
-    phase = tuple(NoiseRealization(phase_offset=p, weight=1 / 3) for p in (-0.17, 0.0, 0.17))
+    rfi = tuple(NoiseRealization(rf_scale=s) for s in (0.90, 0.95, 1.00, 1.05, 1.10))
+    incoherence = tuple(NoiseRealization(offset_shift=float(s)) for s in range(-10, 11))
+    flip = tuple(NoiseRealization(rf_scale=s) for s in (0.95, 1.00, 1.05))
+    phase = tuple(NoiseRealization(phase_offset=p) for p in (-0.17, 0.0, 0.17))
     assert cfg.rfi_ensemble().realizations == rfi
     assert cfg.incoherence_ensemble().realizations == incoherence
     grids = cfg.error_ensembles()
@@ -260,15 +260,15 @@ def _sweep_one_cell_at_a_time(config, gates):
             ideal_powers.append(u_g @ ideal_powers[-1])
         uws = [sequence_propagator(uw_pulse, config.system, real) for real in noise_members]
         uds = [sequence_propagator(ud_pulse, config.system, real) for real in noise_members]
-        total = 0.0
-        for real, uw, ud in zip(noise_members, uws, uds):
+        w, total = 1 / len(noise_members), 0.0
+        for uw, ud in zip(uws, uds):
             u_pg = ud @ uw
             acc_p = np.eye(4, dtype=complex)
             mean = 0.0
             for u_g_j in ideal_powers[1:]:
                 acc_p = u_pg @ acc_p
                 mean += gate_fidelity(acc_p, u_g_j)
-            total += real.weight * mean / config.iterations
+            total += w * mean / config.iterations
         return total
 
     incoherence = config.incoherence_ensemble()

@@ -81,12 +81,9 @@ def test_segment_propagator_unitary_under_noise():
     rng = np.random.default_rng(4)
     params = SystemParams(436, -436, 7)
     for _ in range(10):
-        noise = NoiseRealization(
-            rf_scale=rng.uniform(0.8, 1.2),
-            offset_shift=rng.uniform(-20, 20),
-            flip_scale=rng.uniform(0.9, 1.1),
-            phase_offset=rng.uniform(-0.5, 0.5),
-        )
+        # An RF scale in [0.8, 1.2] times a flip-angle scale in [0.9, 1.1].
+        rf, shift, flip = rng.uniform(0.8, 1.2), rng.uniform(-20, 20), rng.uniform(0.9, 1.1)
+        noise = NoiseRealization(rf_scale=rf * flip, offset_shift=shift, phase_offset=rng.uniform(-0.5, 0.5))
         pulse = _one_segment(rng.uniform(-1e5, 1e5), rng.uniform(-1e5, 1e5), 5.1e-6)
         assert is_unitary(sequence_propagator(pulse, params, noise))
 
@@ -134,7 +131,7 @@ def _dd_pulse_with_idle_segments(k=400, seed=5):
 def test_sequence_propagator_matches_expm_left_fold():
     params = SystemParams(436.0, -436.0, 70.0)
     pulse = _dd_pulse_with_idle_segments()
-    noise = NoiseRealization(rf_scale=1.04, offset_shift=-6.5, flip_scale=0.97, phase_offset=0.31)
+    noise = NoiseRealization(rf_scale=1.04 * 0.97, offset_shift=-6.5, phase_offset=0.31)
     expected = ID4.copy()
     for h in segment_hamiltonians(pulse, params, noise):
         expected = scipy.linalg.expm(-1j * h * pulse.dt) @ expected
@@ -147,7 +144,7 @@ def test_phase_error_is_a_collective_z_rotation_of_the_propagator():
     params = SystemParams(436.0, -436.0, 70.0)
     pulse = _dd_pulse_with_idle_segments()
     phi = 0.31
-    base = dict(rf_scale=1.04, offset_shift=-6.5, flip_scale=0.97)
+    base = dict(rf_scale=1.04 * 0.97, offset_shift=-6.5)
     u0 = sequence_propagator(pulse, params, NoiseRealization(**base))
     u_phi = sequence_propagator(pulse, params, NoiseRealization(phase_offset=phi, **base))
     r = np.exp(-1j * phi * np.array([1.0, 0.0, 0.0, -1.0]))
@@ -186,9 +183,7 @@ def test_evolve_ensemble_symmetric_offsets_give_real_coherence():
     t = 3.4e-3
     pulse = PulseSequence.zeros(1, t, 1e6)
     delta = 7.0
-    ens = NoiseEnsemble(
-        (NoiseRealization(offset_shift=delta, weight=0.5), NoiseRealization(offset_shift=-delta, weight=0.5))
-    )
+    ens = NoiseEnsemble((NoiseRealization(offset_shift=delta), NoiseRealization(offset_shift=-delta)))
     out = _evolve(_plus_zero_state(), [pulse], params, ens)[-1]
     # oracle: average of conjugate phases e^{+-i 2 pi delta t} is cos(2 pi delta t)
     assert abs(out[0, 2].imag) < 1e-12
@@ -200,7 +195,7 @@ def test_evolve_ensemble_incoherence_grid_dephasing_envelope():
     t = 20e-3
     pulse = PulseSequence.zeros(1, t, 1e6)
     shifts = np.linspace(-10, 10, 21)
-    ens = NoiseEnsemble.uniform(NoiseRealization(offset_shift=s) for s in shifts)
+    ens = NoiseEnsemble(tuple(NoiseRealization(offset_shift=s) for s in shifts))
     out = _evolve(_plus_zero_state(), [pulse], params, ens)[-1]
     # oracle: discrete average of the accumulated phases over the grid
     envelope = np.mean(np.cos(TWO_PI * shifts * t))
@@ -216,7 +211,7 @@ def test_evolve_ensemble_preserves_trace_each_stage():
         PulseSequence(rng.uniform(-5e4, 5e4, 8), rng.uniform(-5e4, 5e4, 8), np.zeros(8, bool), 5.1e-6, 2e5)
         for _ in range(3)
     ]
-    ens = NoiseEnsemble.uniform(NoiseRealization(rf_scale=s) for s in (0.90, 0.95, 1.00, 1.05, 1.10))
+    ens = NoiseEnsemble(tuple(NoiseRealization(rf_scale=s) for s in (0.90, 0.95, 1.00, 1.05, 1.10)))
     out = _evolve(pseudopure_state(0.5), pulses, params, ens)
     assert len(out) == 4
     for rho in out:
@@ -225,7 +220,7 @@ def test_evolve_ensemble_preserves_trace_each_stage():
 
 
 def test_evolve_ensemble_rejects_a_mean_state_without_unit_trace():
-    ens = NoiseEnsemble.uniform(NoiseRealization(rf_scale=s) for s in (0.9, 1.1))
+    ens = NoiseEnsemble(tuple(NoiseRealization(rf_scale=s) for s in (0.9, 1.1)))
     rho0 = pseudopure_state(0.5)
     assert len(evolve_ensemble(rho0, ens, [[ID4, ID4]])) == 2
     with pytest.raises(ValueError, match=r"state 1 .*trace"):
@@ -243,20 +238,8 @@ def test_pseudopure_state_examples():
         pseudopure_state(1.5)
 
 
-def test_uniform_replaces_member_weights_with_one_over_n():
-    members = (
-        NoiseRealization(rf_scale=0.9, weight=0.7),
-        NoiseRealization(offset_shift=2.0, weight=0.0),
-        NoiseRealization(flip_scale=1.1, phase_offset=0.2),
-    )
-    ens = NoiseEnsemble.uniform(iter(members))
-    assert ens.realizations == tuple(dataclasses.replace(m, weight=1 / 3) for m in members)
-    with pytest.raises(ValueError, match="at least one"):
-        NoiseEnsemble.uniform([])
-
-
 def test_mean_is_the_left_fold_in_member_order():
-    ens = NoiseEnsemble.uniform(NoiseRealization(offset_shift=s) for s in (0.0, 1.0, 2.0))
+    ens = NoiseEnsemble(tuple(NoiseRealization(offset_shift=s) for s in (0.0, 1.0, 2.0)))
     w = 1 / 3
     values = [1e16, 1.0, -1e16]
     fold = ((0.0 + w * values[0]) + w * values[1]) + w * values[2]
@@ -269,14 +252,33 @@ def test_mean_is_the_left_fold_in_member_order():
     assert np.array_equal(ens.mean(arrays), ((0.0 + w * arrays[0]) + w * arrays[1]) + w * arrays[2])
     with pytest.raises(ValueError):
         ens.mean(values[:2])
+    # Every member counts 1/n, so an ensemble needs one.
+    with pytest.raises(ValueError, match="at least one"):
+        NoiseEnsemble(())
 
 
-def test_ensemble_weights_must_normalize():
-    with pytest.raises(ValueError):
-        NoiseEnsemble((NoiseRealization(weight=0.6), NoiseRealization(weight=0.6)))
+def test_combined_with_is_the_row_major_outer_product():
+    outer = NoiseEnsemble((NoiseRealization(0.5, 1.0, 0.25), NoiseRealization(2.0, -3.0, 0.0)))
+    inner = NoiseEnsemble(
+        (NoiseRealization(1.5, 0.0, 0.5), NoiseRealization(1.0, 4.0, -0.25), NoiseRealization(0.75, -1.0, 0.0))
+    )
+    combined = outer.combined_with(inner)
+    # self's members outer, other's inner; rf_scale multiplies, offsets and phases add.
+    expected = [
+        (0.75, 1.0, 0.75), (0.5, 5.0, 0.0), (0.375, 0.0, 0.25),
+        (3.0, -3.0, 0.5), (2.0, 1.0, -0.25), (1.5, -4.0, 0.0),
+    ]
+    assert combined.realizations == tuple(NoiseRealization(*fields) for fields in expected)
+    # Each of the n * m members counts 1 / (n * m) in the mean.
+    assert np.array_equal(combined.mean(np.eye(6)), np.full(6, 1 / 6))
+    values = [1e16, 1.0, -1e16, 3.0, 5.0, 7.0]
+    fold = 0.0
+    for v in values:
+        fold = fold + (1 / 6) * v
+    assert combined.mean(values) == fold
 
 
-@pytest.mark.parametrize("field", ["rf_scale", "flip_scale"])
+@pytest.mark.parametrize("field", ["rf_scale"])
 def test_noise_realization_rejects_non_positive_scales(field):
     with pytest.raises(ValueError, match=field):
         NoiseRealization(**{field: 0.0})
@@ -287,9 +289,8 @@ def test_noise_realization_rejects_non_positive_scales(field):
     [
         lambda: NoiseRealization(rf_scale=math.nan),
         lambda: NoiseRealization(offset_shift=math.inf),
-        lambda: NoiseEnsemble((NoiseRealization(weight=math.nan),)),
     ],
-    ids=["rf_scale-nan", "offset_shift-inf", "weight-nan"],
+    ids=["rf_scale-nan", "offset_shift-inf"],
 )
 def test_noise_constructors_reject_non_finite_values(make):
     with pytest.raises(ValueError, match="finite"):
@@ -297,14 +298,14 @@ def test_noise_constructors_reject_non_finite_values(make):
 
 
 @FUZZ
-@given(rf=st.floats(), shift=st.floats(), flip=st.floats(), phase=st.floats(), weight=st.floats())
-def test_fuzz_noise_realization(rf, shift, flip, phase, weight):
+@given(rf=st.floats(), shift=st.floats(), phase=st.floats())
+def test_fuzz_noise_realization(rf, shift, phase):
     try:
-        real = NoiseRealization(rf, shift, flip, phase, weight)
+        real = NoiseRealization(rf, shift, phase)
     except ValueError:
         return
     assert all(map(math.isfinite, dataclasses.astuple(real)))
-    assert real.rf_scale > 0 and real.flip_scale > 0 and real.weight >= 0
+    assert real.rf_scale > 0
 
 
 @pytest.mark.parametrize(
