@@ -266,6 +266,14 @@ def save_state(path, rho: np.ndarray) -> None:
 
 
 def load_state(path) -> np.ndarray:
+    """Read the 4x4 density matrix that save_state writes; a ValueError names the file."""
+    try:
+        return _parse_state(path)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"state file {path}: {exc}") from exc
+
+
+def _parse_state(path) -> np.ndarray:
     entries = []
     with open(path) as fh:
         for line in fh:
@@ -274,7 +282,7 @@ def load_state(path) -> np.ndarray:
                 continue
             entries.extend(complex(tok) for tok in line.split())
     if len(entries) != 16:
-        raise ValueError(f"state file must contain 16 entries, found {len(entries)}")
+        raise ValueError(f"must contain 16 entries, found {len(entries)}")
     rho = np.array(entries, dtype=complex).reshape(4, 4)
     check_density_matrix(rho)
     return rho

@@ -200,8 +200,8 @@ class ExperimentConfig:
         with open(path) as fh:
             try:
                 d = json.load(fh)
-            except RecursionError:
-                raise ValueError(f"config file {path} is nested too deeply to read") from None
+            except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
+                raise ValueError(f"config file {path}: {exc}") from None
         return ExperimentConfig.from_dict(d)
 
 
@@ -471,7 +471,7 @@ def _gate_propagators(config: ExperimentConfig, jobs):
         window = deque(map(submit, islice(calls, 2 * workers)))
         for _, m in jobs:
             uw, ud = take(), take()
-            check_unitary(np.array([uw, ud]), [m])
+            check_unitary(np.array([uw, ud]), (m, m))
             yield uw, ud
     finally:
         pool.shutdown(cancel_futures=True)
@@ -479,8 +479,9 @@ def _gate_propagators(config: ExperimentConfig, jobs):
 
 def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
     """Mean Grover-iterate fidelity F_bar = (1/6) sum_j F(U_PG^j, U_G^j),
-    averaged over the members of an unweighted noise grid, per scheme under
-    flip/phase error grids, without and with the incoherence ensemble. The
+    averaged by NoiseEnsemble.mean over a noise grid, per scheme under each
+    flip/phase error grid, without and with the incoherence ensemble. Each
+    kind's two grids are built once and paired with every scheme. The
     propagators of every member come from one _gate_propagators call; each
     member is reduced as its pair arrives and its propagators are then
     dropped."""
@@ -492,19 +493,19 @@ def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
     ideal_powers = [np.eye(4, dtype=complex)]
     for _ in range(config.iterations):
         ideal_powers.append(u_g @ ideal_powers[-1])
-    means = []
+
+    def iterate_fidelity(uw, ud):
+        u_pg, acc_p, total = ud @ uw, np.eye(4, dtype=complex), 0.0
+        for u_g_j in ideal_powers[1:]:
+            acc_p = u_pg @ acc_p
+            total += gate_fidelity(acc_p, u_g_j)
+        return total / config.iterations
+
+    rows = []
     with closing(_gate_propagators(config, jobs)) as props:
-        for ensemble in (e for _, k in keys for e in grids[k]):
-            w, total = ensemble.weight, 0.0
-            # zip asks props for a pair only after this ensemble has yielded a member.
-            for _, (uw, ud) in zip(ensemble.realizations, props):
-                u_pg = ud @ uw
-                acc_p = np.eye(4, dtype=complex)
-                mean = 0.0
-                for u_g_j in ideal_powers[1:]:
-                    acc_p = u_pg @ acc_p
-                    mean += gate_fidelity(acc_p, u_g_j)
-                # (w * m) / n, not NoiseEnsemble.mean's w * (m / n): they round differently.
-                total += w * mean / config.iterations
-            means.append(total)
-    return [SweepRow(s, k, f, f_inc) for (s, k), f, f_inc in zip(keys, means[::2], means[1::2])]
+        for s, k in keys:
+            plain, combined = (
+                e.mean(iterate_fidelity(uw, ud) for uw, ud in islice(props, len(e.realizations))) for e in grids[k]
+            )
+            rows.append(SweepRow(s, k, plain, combined))
+    return rows

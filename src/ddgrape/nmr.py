@@ -84,15 +84,10 @@ class NoiseEnsemble:
     def identity() -> "NoiseEnsemble":
         return NoiseEnsemble((IDENTITY_NOISE,))
 
-    @property
-    def weight(self) -> float:
-        """1/n, the weight of every member."""
-        return 1.0 / len(self.realizations)
-
     def mean(self, values):
-        """sum_r w * values[r] over values given in member order, added
+        """sum_r w * values[r], w = 1/n, over values given in member order, added
         left to right, so floats and arrays alike get a deterministic result."""
-        w = self.weight
+        w = 1.0 / len(self.realizations)
         total = 0.0
         for _, value in zip(self.realizations, values, strict=True):
             total = total + w * value
@@ -250,10 +245,10 @@ def sequence_propagator(
 
 def check_unitary(us: np.ndarray, members) -> None:
     """Raise a ValueError naming the first member whose propagator is not
-    unitary to 1e-10 (a NaN fails); entry i of `us` is members[i % len(members)]'s."""
+    unitary to 1e-10 (a NaN fails); entry i of `us` is members[i]'s."""
     bad = np.flatnonzero(~(unitarity_error(us) <= UNITARITY_TOL))
     if bad.size:
-        raise ValueError(f"the propagator of noise member {members[bad[0] % len(members)]} is not unitary to 1e-10")
+        raise ValueError(f"the propagator of noise member {members[bad[0]]} is not unitary to 1e-10")
 
 
 def evolve_ensemble(rho0: np.ndarray, ensemble: NoiseEnsemble, stages) -> list[np.ndarray]:

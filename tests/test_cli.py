@@ -47,7 +47,19 @@ def test_bad_state_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "state.txt"
     bad.write_text("1 2 3\n")
     assert main(["discord", "--state", str(bad)]) == 2
-    assert "16 entries" in capsys.readouterr().err
+    first = capsys.readouterr().err.splitlines()[0]
+    assert "16 entries" in first and str(bad) in first
+
+
+@pytest.mark.parametrize("content", [b"1 2 3 x\n", b"\xff\xfe1 0 0 0\n"], ids=["unparsable", "undecodable"])
+def test_an_unreadable_state_file_exits_2_naming_the_file(tmp_path, capsys, content):
+    bad = tmp_path / "state.txt"
+    bad.write_bytes(content)
+    assert main(["discord", "--state", str(bad)]) == 2
+    captured = capsys.readouterr()
+    first = captured.err.splitlines()[0]
+    assert first.startswith("error:") and str(bad) in first
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_discord_command_bell_state(tmp_path, capsys):
@@ -203,7 +215,7 @@ def test_state_that_is_not_a_density_matrix_exits_2(tmp_path, capsys):
     save_state(path, np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex))
     assert main(["discord", "--state", str(path)]) == 2
     captured = capsys.readouterr()
-    assert "error:" in captured.err and "trace" in captured.err
+    assert "error:" in captured.err and "trace" in captured.err and str(path) in captured.err
     assert captured.out == ""
 
 
@@ -428,6 +440,32 @@ def test_a_config_nested_too_deeply_exits_2_naming_the_file(tmp_path, capsys):
     assert main(["sweep", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [b'{"seed": ', b'\xff\xfe{"seed": 1}'], ids=["truncated", "undecodable"])
+def test_an_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    first = captured.err.splitlines()[0]
+    assert first.startswith("error:") and str(path) in first
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+def test_a_huge_rf_scale_exits_2_naming_the_member_with_no_warning(cached_gates_copy, capsys, command):
+    # omega_max * 1e20 is finite, so the config passes, but the products of
+    # this member's segment propagators overflow; numpy's RuntimeWarnings
+    # would reach stderr ahead of the error line, and here they raise.
+    config_path, _ = cached_gates_copy()
+    config_path.write_text(json.dumps(json.loads(config_path.read_text()) | {"rfi_scales": [1e20]}))
+    assert main([command, "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    first = captured.err.splitlines()[0]
+    assert first.startswith("error:") and "not unitary" in first and "rf_scale=1e+20" in first
+    assert captured.out == ""
 
 
 def test_sweep_with_a_bad_thread_count_exits_2(toy_workspace, capsys, monkeypatch):

@@ -251,7 +251,8 @@ def test_threaded_paths_are_bitwise_equal_to_serial(toy_gates, monkeypatch):
 
 def _sweep_one_cell_at_a_time(config, gates):
     """robustness_sweep as it was when each (scheme, kind, ensemble) cell got
-    its own propagators, with serial calls in place of that cell's pool."""
+    its own propagators, with serial calls in place of that cell's pool; each
+    cell is averaged by NoiseEnsemble.mean, as the sweep does."""
 
     def iterate_mean_fidelity(uw_pulse, ud_pulse, noise_members):
         u_g = diffusion_unitary() @ oracle_unitary(config.marked)
@@ -260,7 +261,7 @@ def _sweep_one_cell_at_a_time(config, gates):
             ideal_powers.append(u_g @ ideal_powers[-1])
         uws = [sequence_propagator(uw_pulse, config.system, real) for real in noise_members]
         uds = [sequence_propagator(ud_pulse, config.system, real) for real in noise_members]
-        w, total = 1 / len(noise_members), 0.0
+        means = []
         for uw, ud in zip(uws, uds):
             u_pg = ud @ uw
             acc_p = np.eye(4, dtype=complex)
@@ -268,8 +269,8 @@ def _sweep_one_cell_at_a_time(config, gates):
             for u_g_j in ideal_powers[1:]:
                 acc_p = u_pg @ acc_p
                 mean += gate_fidelity(acc_p, u_g_j)
-            total += w * mean / config.iterations
-        return total
+            means.append(mean / config.iterations)
+        return NoiseEnsemble(tuple(noise_members)).mean(means)
 
     incoherence = config.incoherence_ensemble()
     rows = []
