@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -27,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ddgrape.core import UNITARITY_TOL
 from ddgrape.dd import DDScheme, complete_blocks, freeze_into, hard_pulse_amplitude, place_dd
 from ddgrape.discord import quantum_discord
 from ddgrape.grape import (
@@ -55,8 +57,8 @@ from ddgrape.nmr import (
     check_unitary,
     load_pulse,
     pseudopure_state,
+    rotation_bound,
     save_pulse,
-    segment_hamiltonians,
     sequence_propagator,
 )
 
@@ -116,17 +118,21 @@ class ExperimentConfig:
         if not self.seed >= 0:
             raise ValueError(f"config key 'seed' must be >= 0, got {self.seed!r}")
         # Every other value is checked by building from it what a run builds.
+        self._build(
+            ("n_segments_per_gate", "dt", "omega_max", "amplitude_fraction"),
+            lambda c: random_initial_pulse(c.n_segments_per_gate, c.dt, c.omega_max, c.amplitude_fraction, c.seed),
+        )
+        # The one overflow check, ahead of every noise grid it keeps finite.
+        self._build(
+            ("system", "incoherence_range", "rfi_scales", "flip_scales", "omega_max", "dt", "n_segments_per_gate"),
+            _rotation,
+        )
         self._build(("rfi_scales",), ExperimentConfig.rfi_ensemble)
         self._build(("incoherence_range", "incoherence_points"), ExperimentConfig.incoherence_ensemble)
         self._build(("flip_scales", "phase_offsets"), ExperimentConfig.error_ensembles)
         self._build(("max_iterations", "fidelity_goal", "free_amplitude_bound"), ExperimentConfig.optimization)
         self._build(("marked",), ExperimentConfig.grover_spec)
         self._build(("epsilon",), lambda c: pseudopure_state(c.epsilon))
-        self._build(
-            ("n_segments_per_gate", "dt", "omega_max", "amplitude_fraction"),
-            lambda c: random_initial_pulse(c.n_segments_per_gate, c.dt, c.omega_max, c.amplitude_fraction, c.seed),
-        )
-        self._build(("system", "incoherence_range", "rfi_scales", "flip_scales", "omega_max"), _overflow)
         # Two descriptors of one scheme would give it two sweep rows and two cached builds.
         seen = {}
         for s in self.schemes:
@@ -164,9 +170,7 @@ class ExperimentConfig:
 
     def incoherence_ensemble(self) -> NoiseEnsemble:
         """Common-mode offset grid modeling static field inhomogeneity."""
-        # A range whose width overflows gives NaN shifts, which NoiseRealization rejects.
-        with np.errstate(over="ignore", invalid="ignore"):
-            shifts = np.linspace(*self.incoherence_range, self.incoherence_points)
+        shifts = np.linspace(*self.incoherence_range, self.incoherence_points)
         return NoiseEnsemble(tuple(NoiseRealization(offset_shift=float(s)) for s in shifts))
 
     def error_ensembles(self) -> dict[str, NoiseEnsemble]:
@@ -213,15 +217,20 @@ def _finite(v) -> bool:
         return False
 
 
-def _overflow(c: ExperimentConfig) -> None:
-    """Values that pass alone can overflow together: an omega_max segment's Hamiltonian must be
-    finite at the largest rf or flip scale, unshifted and at each end of incoherence_range."""
-    pulse = PulseSequence([c.omega_max], [0.0], [False], c.dt, c.omega_max)
+def _rotation(c: ExperimentConfig) -> None:
+    """A gate's K segments must rotate by at most UNITARITY_TOL / eps (about 4.5e5 rad) in all:
+    the rounding error of a product of K factors grows like K * eps (Higham 2002, sec. 3.5), and
+    each factor's like its rotation theta, so K * theta * eps must stay within UNITARITY_TOL.
+    theta is rotation_bound at the largest rf or flip scale, unshifted and at each end of
+    incoherence_range. Plain Python floats: an overflow gives inf, which fails. phase_offsets
+    is exempt: a phase enters once, through cos and sin, which are accurate for any finite float."""
+    scale = max((*c.rfi_scales, *c.flip_scales), default=1.0)
+    limit = UNITARITY_TOL / sys.float_info.epsilon
     for shift in (0.0, *c.incoherence_range):
-        member = NoiseRealization(rf_scale=max((*c.rfi_scales, *c.flip_scales)), offset_shift=shift)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(segment_hamiltonians(pulse, c.system, member)).all():
-                raise ValueError(f"the Hamiltonian of an omega_max pulse under {member} is not finite")
+        member = NoiseRealization(rf_scale=scale, offset_shift=shift)
+        total = c.n_segments_per_gate * rotation_bound(c.system, member, c.omega_max, c.dt)
+        if not total <= limit:
+            raise ValueError(f"a gate under {member} may rotate by {total:.4g} rad, beyond {limit:.4g} rad")
 
 
 def _fails(build, key: str, value) -> bool:

@@ -193,6 +193,19 @@ def segment_hamiltonians(
     return hs[None, :, :] + ox[:, None, None] * FX[None, :, :] + oy[:, None, None] * FY[None, :, :]
 
 
+def rotation_bound(params: SystemParams, member: NoiseRealization, omega_max: float, dt: float) -> float:
+    """Upper bound on ||H_k||_2 * dt for any segment of segment_hamiltonians within omega_max:
+    dt * (pi (|nu1 + d| + |nu2 + d|) + pi J / 2 + s * omega_max), with d the member's offset
+    shift and s its rf_scale. H_S' is diagonal and ||F_x cos phi + F_y sin phi||_2 = 1.
+    Plain Python floats, so an overflow gives inf."""
+    d = member.offset_shift
+    return dt * (
+        math.pi * (abs(params.offset1 + d) + abs(params.offset2 + d))
+        + math.pi * params.coupling / 2
+        + member.rf_scale * omega_max
+    )
+
+
 def ordered_product(us: np.ndarray) -> np.ndarray:
     """u_K ... u_2 u_1 of a (K, 4, 4) stack (u_1 acts first).
 

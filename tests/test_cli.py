@@ -385,6 +385,7 @@ def test_gates_csv_flags_a_scheme_with_a_nan_fidelity(cached_gates_copy, monkeyp
     assert [(t, w) for _, t, _, w in rows] == [("uw", "1"), ("ud", "1")] * 2
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["optimize", "sweep"])
 @pytest.mark.parametrize(
     "change, key",
@@ -393,11 +394,17 @@ def test_gates_csv_flags_a_scheme_with_a_nan_fidelity(cached_gates_copy, monkeyp
         ({"incoherence_range": [0.0, 1e308]}, "incoherence_range"),
         ({"rfi_scales": [1e308]}, "rfi_scales"),
         ({"flip_scales": [1.0, 1e308]}, "flip_scales"),
+        ({"flip_scales": [1e20]}, "flip_scales"),
+        ({"flip_scales": [96.0], "n_segments_per_gate": 1470}, "flip_scales"),
     ],
 )
 def test_a_config_whose_hamiltonians_overflow_exits_2_naming_the_key(cached_gates_copy, capsys, command, change, key):
-    # Each value passes alone, but 2 pi * offset or omega_max * scale is not
-    # finite. On this cache hit, nothing else would stop it.
+    # Each value passes alone, but a gate's segments may rotate by more than
+    # UNITARITY_TOL / eps = 4.5e5 rad in all: the bound is infinite for the
+    # first four and 3.2e20 rad a segment at flip scale 1e20. With the desk's
+    # 1470 segments, 96 is the first whole flip scale rejected (308 rad a
+    # segment against 306). On this cache hit nothing else would stop them,
+    # and a sweep at flip scale 1e20 would pass check_unitary.
     config_path, _ = cached_gates_copy()
     config_path.write_text(json.dumps(json.loads(config_path.read_text()) | change))
     assert main([command, "--config", str(config_path)]) == 2
@@ -409,8 +416,9 @@ def test_a_config_whose_hamiltonians_overflow_exits_2_naming_the_key(cached_gate
 
 @pytest.mark.filterwarnings("error")
 def test_an_incoherence_range_whose_width_overflows_exits_2_with_no_warning(tmp_path, capsys):
-    # The width hi - lo overflows inside np.linspace, whose RuntimeWarnings
-    # would reach stderr ahead of the error line; here they raise.
+    # The width hi - lo would overflow inside np.linspace, whose RuntimeWarnings
+    # would reach stderr ahead of the error line; here they raise. The rotation
+    # rule rejects the range before any noise grid is built.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"incoherence_range": [-1e308, 1e308], "output_dir": str(tmp_path / "out")}))
     assert main(["sweep", "--config", str(path)]) == 2
@@ -455,17 +463,18 @@ def test_an_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, content)
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["optimize", "sweep"])
-def test_a_huge_rf_scale_exits_2_naming_the_member_with_no_warning(cached_gates_copy, capsys, command):
-    # omega_max * 1e20 is finite, so the config passes, but the products of
-    # this member's segment propagators overflow; numpy's RuntimeWarnings
+def test_a_huge_rf_scale_is_a_config_error_naming_the_key_with_no_warning(cached_gates_copy, capsys, command):
+    # omega_max * 1e20 is finite, but the rotation rule rejects it before any
+    # propagator is built, whose products would overflow; numpy's RuntimeWarnings
     # would reach stderr ahead of the error line, and here they raise.
     config_path, _ = cached_gates_copy()
     config_path.write_text(json.dumps(json.loads(config_path.read_text()) | {"rfi_scales": [1e20]}))
     assert main([command, "--config", str(config_path)]) == 2
     captured = capsys.readouterr()
     first = captured.err.splitlines()[0]
-    assert first.startswith("error:") and "not unitary" in first and "rf_scale=1e+20" in first
+    assert first.startswith("error:") and "'rfi_scales'" in first
     assert captured.out == ""
+    assert sorted(p.name for p in config_path.parent.iterdir()) == ["config.json", "pulses"]
 
 
 def test_sweep_with_a_bad_thread_count_exits_2(toy_workspace, capsys, monkeypatch):

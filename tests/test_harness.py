@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import toy_config
+from conftest import desk_config, toy_config
 from ddgrape import harness
 from ddgrape.grape import gate_fidelity
 from ddgrape.grover import diffusion_unitary, oracle_unitary
@@ -95,11 +95,20 @@ def test_config_json_roundtrip(tmp_path):
 
 
 def test_config_reads_an_integer_for_a_float_key_as_a_float():
-    # np.linspace raised a TypeError on an int below the int64 range.
+    # numpy takes no int beyond the int64 range; phase_offsets is the one
+    # float key whose size the rotation rule leaves free.
     system = {"offset1": 436, "offset2": -436, "coupling": 70}
-    cfg = ExperimentConfig.from_dict({"incoherence_range": [0, -(2**63) - 1], "system": system})
-    assert cfg.incoherence_range == (0.0, -(2.0**63)) and cfg.system == SystemParams(436.0, -436.0, 70.0)
-    assert all(type(v) is float for v in (*cfg.incoherence_range, *dataclasses.astuple(cfg.system)))
+    cfg = ExperimentConfig.from_dict({"phase_offsets": [0, -(2**63) - 1], "system": system})
+    assert cfg.phase_offsets == (0.0, -(2.0**63)) and cfg.system == SystemParams(436.0, -436.0, 70.0)
+    assert all(type(v) is float for v in (*cfg.phase_offsets, *dataclasses.astuple(cfg.system)))
+
+
+def test_the_desk_config_builds_with_the_largest_whole_flip_scale_the_rotation_rule_accepts():
+    # Each of the 1470 segments may rotate by 304.4 rad at flip scale 95 and by
+    # 307.6 rad at 96, against UNITARITY_TOL / eps / 1470 = 306.4 rad.
+    assert desk_config(flip_scales=(95.0,)).flip_scales == (95.0,)
+    with pytest.raises(ValueError, match="'flip_scales'"):
+        desk_config(flip_scales=(96.0,))
 
 
 def test_config_rejects_spacing_larger_than_gate():

@@ -21,6 +21,7 @@ from ddgrape.nmr import (
     load_pulse,
     ordered_product,
     pseudopure_state,
+    rotation_bound,
     save_pulse,
     segment_hamiltonians,
     sequence_propagator,
@@ -136,6 +137,37 @@ def test_sequence_propagator_matches_expm_left_fold():
     for h in segment_hamiltonians(pulse, params, noise):
         expected = scipy.linalg.expm(-1j * h * pulse.dt) @ expected
     assert np.max(np.abs(sequence_propagator(pulse, params, noise) - expected)) <= 1e-13
+
+
+def test_rotation_bound_bounds_every_segment_hamiltonian():
+    rng = np.random.default_rng(17)
+    omega_max, dt, k = TWO_PI * 1e5, 5.1e-6, 50
+    for _ in range(20):
+        params = SystemParams(*rng.uniform(-2e4, 2e4, 2), rng.uniform(0, 2e3))
+        member = NoiseRealization(rng.uniform(0.5, 2.0), rng.uniform(-1e3, 1e3), rng.uniform(-math.pi, math.pi))
+        norm = omega_max * np.sqrt(rng.uniform(0, 1, k))
+        phase = rng.uniform(-math.pi, math.pi, k)
+        pulse = PulseSequence(norm * np.cos(phase), norm * np.sin(phase), np.zeros(k, bool), dt, omega_max)
+        norms = np.linalg.norm(segment_hamiltonians(pulse, params, member), ord=2, axis=(1, 2)) * dt
+        assert rotation_bound(params, member, omega_max, dt) >= norms.max(), (params, member)
+
+
+def test_rotation_bound_is_the_norm_of_an_on_axis_omega_max_segment():
+    params, omega_max, dt = SystemParams(0.0, 0.0, 0.0), TWO_PI * 1e5, 5.1e-6
+    member = NoiseRealization(rf_scale=1.1)
+    pulse = PulseSequence([omega_max], [0.0], [False], dt, omega_max)
+    norm = np.linalg.norm(segment_hamiltonians(pulse, params, member)[0], ord=2) * dt
+    assert rotation_bound(params, member, omega_max, dt) == pytest.approx(norm, rel=1e-12)
+
+
+def test_rotation_bound_less_its_control_term_is_the_norm_of_an_idle_segment_at_equal_offsets():
+    # With nu1 + d = nu2 + d > 0, H_S's |11> entry is pi (nu1 + nu2 + 2 d) + pi J / 2.
+    params, omega_max, dt = SystemParams(436.0, 436.0, 70.0), TWO_PI * 1e5, 5.1e-6
+    member = NoiseRealization(rf_scale=1.1, offset_shift=-10.0)
+    pulse = PulseSequence([0.0], [0.0], [False], dt, omega_max)
+    norm = np.linalg.norm(segment_hamiltonians(pulse, params, member)[0], ord=2) * dt
+    control = dt * member.rf_scale * omega_max
+    assert rotation_bound(params, member, omega_max, dt) - control == pytest.approx(norm, rel=1e-12)
 
 
 def test_phase_error_is_a_collective_z_rotation_of_the_propagator():
