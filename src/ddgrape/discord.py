@@ -44,7 +44,6 @@ class DiscordResult:
     discord: float
     mutual_information: float
     classical_correlation: float
-    argmin_basis: MeasurementBasis
     scaled_discord: float | None = None
 
 
@@ -231,12 +230,13 @@ def quantum_discord(rho: np.ndarray, epsilon: float | None = None) -> DiscordRes
     """D(S|A) = H(A) - H(S,A) + min_Pi H_Pi(S|A), in bits.
 
     Results within -1e-8 of zero are clamped to 0. When epsilon is given
-    (pseudopure input), scaled_discord = D * ln2 / epsilon^2 is populated.
+    (pseudopure input), scaled_discord = D * ln2 / epsilon^2 is populated;
+    an epsilon so small that this is not a finite float raises a ValueError.
     """
     h_a = von_neumann_entropy(partial_trace(rho, "A"))
     h_s = von_neumann_entropy(partial_trace(rho, "S"))
     h_sa = von_neumann_entropy(rho)
-    h_min, basis = min_conditional_entropy(rho)
+    h_min, _ = min_conditional_entropy(rho)
 
     discord = h_a - h_sa + h_min
     if discord < 0:
@@ -247,12 +247,16 @@ def quantum_discord(rho: np.ndarray, epsilon: float | None = None) -> DiscordRes
     classical = h_s - h_min
     scaled = None
     if epsilon is not None and epsilon > 0:
-        scaled = discord * LN2 / (epsilon * epsilon)
+        # epsilon^2 underflows to 0 below about 1e-162, and to a subnormal that
+        # overflows the quotient a little above.
+        square = epsilon * epsilon
+        scaled = discord * LN2 / square if square else math.inf
+        if not math.isfinite(scaled):
+            raise ValueError(f"epsilon {epsilon!r} is too small: the scaled discord D ln2 / epsilon^2 is not finite")
     return DiscordResult(
         discord=discord,
         mutual_information=info,
         classical_correlation=classical,
-        argmin_basis=basis,
         scaled_discord=scaled,
     )
 

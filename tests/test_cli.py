@@ -38,11 +38,6 @@ def test_no_subcommand_prints_usage(capsys):
     assert captured.out == ""
 
 
-def test_missing_config_exits_2(tmp_path, capsys):
-    assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
 def test_bad_state_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "state.txt"
     bad.write_text("1 2 3\n")
@@ -62,11 +57,16 @@ def test_an_unreadable_state_file_exits_2_naming_the_file(tmp_path, capsys, cont
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-def test_discord_command_bell_state(tmp_path, capsys):
+def _bell_state_file(tmp_path):
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[3] = 1 / math.sqrt(2)
     path = tmp_path / "bell.txt"
     save_state(path, np.outer(psi, psi.conj()))
+    return path
+
+
+def test_discord_command_bell_state(tmp_path, capsys):
+    path = _bell_state_file(tmp_path)
     assert main(["discord", "--state", str(path)]) == 0
     out = capsys.readouterr().out
     assert "discord=1.000000" in out
@@ -90,6 +90,18 @@ def test_discord_epsilon_outside_unit_interval_exits_2(tmp_path, capsys, epsilon
     assert main(["discord", "--state", str(path), "--epsilon", epsilon]) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and "--epsilon" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("epsilon", ["1e-300", "1e-160"])
+def test_discord_epsilon_too_small_for_the_scaled_discord_exits_2(tmp_path, capsys, epsilon):
+    # D ln2 / epsilon^2 with D = 1: epsilon^2 underflows to 0 at 1e-300, and
+    # to a subnormal that overflows the quotient at 1e-160.
+    path = _bell_state_file(tmp_path)
+    assert main(["discord", "--state", str(path), "--epsilon", epsilon]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error:") and "epsilon" in line
     assert captured.out == ""
 
 
@@ -219,24 +231,6 @@ def test_state_that_is_not_a_density_matrix_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize(
-    "config, key",
-    [
-        ({"bogus_key": 1}, "bogus_key"),
-        ({"system": {"offset1": 1.0}}, "offset2"),
-        ({"dt": 10**400}, "dt"),
-        ({"system": {"offset1": 10**400, "offset2": 0.0, "coupling": 0.0}}, "system.offset1"),
-        ({"schemes": ["none", "xy:abc:10"]}, "schemes"),
-    ],
-)
-def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, config, key):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    assert main(["sweep", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(key) in err
-
-
 def test_sweep_with_a_propagator_that_is_not_unitary_exits_2(toy_workspace, capsys, monkeypatch):
     _, config_path = toy_workspace
     propagator = harness.sequence_propagator
@@ -246,16 +240,6 @@ def test_sweep_with_a_propagator_that_is_not_unitary_exits_2(toy_workspace, caps
     assert err.startswith("error:") and "NoiseRealization(" in err and "not unitary" in err
 
 
-def test_a_repeated_scheme_exits_2_before_any_build(tmp_path, capsys):
-    cfg = toy_config(tmp_path / "out")
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg.to_dict() | {"schemes": ["none", "xy:90:20", "xy:90.0:20"]}))
-    assert main(["optimize", "--config", str(path), "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "'schemes'" in err and "'xy:90.0:20'" in err
-    assert not (tmp_path / "out").exists()
-
-
 def test_simulate_unknown_scheme_exits_2_before_any_build(tmp_path, capsys):
     cfg = toy_config(tmp_path / "out")
     path = tmp_path / "config.json"
@@ -263,37 +247,6 @@ def test_simulate_unknown_scheme_exits_2_before_any_build(tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--scheme", "xy:90:10"]) == 2
     assert "'xy:90:10'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize(
-    "command, key, value",
-    [
-        (["sweep"], "flip_scales", []),
-        (["simulate", "--scheme", "none"], "epsilon", 1.5),
-        (["sweep"], "flip_scales", [math.nan]),
-        (["optimize"], "dt", 1e-6),
-        (["optimize"], "max_iterations", -3),
-        (["optimize"], "seed", -1),
-    ],
-    ids=[
-        "sweep-flip_scales",
-        "simulate-epsilon",
-        "sweep-flip_scales-nan",
-        "optimize-dt",
-        "optimize-max_iterations",
-        "optimize-seed",
-    ],
-)
-def test_sweep_with_empty_flip_grid_exits_2_before_any_build(tmp_path, capsys, command, key, value):
-    cfg = toy_config(tmp_path / "out")
-    config = cfg.to_dict()
-    config[key] = value
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    assert main([*command, "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(key) in err
-    assert not (tmp_path / "out" / "pulses").exists()
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +264,128 @@ def cached_gates_copy(toy_workspace, tmp_path_factory):
         return path, _pulse_path(config, "none", "uw")
 
     return make
+
+
+def _assert_rejected(capsys, command, path, words):
+    """main exits 2 on the config at path with empty stdout, one stderr line
+    that starts with "error:" and holds every word, and every file beside the
+    config unchanged."""
+    before = _files(path.parent)
+    assert main([*command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error:") and all(word in line for word in words), line
+    assert _files(path.parent) == before
+
+
+def _files(root):
+    """Every path under root, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.filterwarnings("error")
+def test_missing_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    _assert_rejected(capsys, ["sweep"], path, [str(path)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("content", [b'{"seed": ', b'\xff\xfe{"seed": 1}'], ids=["truncated", "undecodable"])
+def test_an_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    _assert_rejected(capsys, ["sweep"], path, [str(path)])
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_config_nested_too_deeply_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"schemes": ' + b"[" * 100000 + b"]" * 100000 + b"}")
+    _assert_rejected(capsys, ["sweep"], path, [str(path)])
+
+
+# id: (command, workspace, change, words). The workspace is "toy" (the toy
+# config), "defaults" (the default config) or "cache" (cached_gates_copy), each
+# with `change` merged into it and its output_dir under a fresh directory. The
+# one stderr line must hold every word. A new config rule is one row here.
+REJECTED_CONFIGS = {
+    "unknown-key": (["sweep"], "defaults", {"bogus_key": 1}, ["'bogus_key'"]),
+    "missing-system-key": (["sweep"], "defaults", {"system": {"offset1": 1.0}}, ["'offset2'"]),
+    "int-beyond-float": (["sweep"], "defaults", {"dt": 10**400}, ["'dt'"]),
+    "system-int-beyond-float": (
+        ["sweep"],
+        "defaults",
+        {"system": {"offset1": 10**400, "offset2": 0.0, "coupling": 0.0}},
+        ["'system.offset1'"],
+    ),
+    "bad-scheme": (["sweep"], "defaults", {"schemes": ["none", "xy:abc:10"]}, ["'schemes'", "xy:abc:10"]),
+    "sweep-fidelity_goal": (["sweep"], "defaults", {"fidelity_goal": 1.5}, ["'fidelity_goal'"]),
+    "repeated-scheme": (
+        ["optimize", "--quiet"],
+        "toy",
+        {"schemes": ["none", "xy:90:20", "xy:90.0:20"]},
+        ["'schemes'", "'xy:90.0:20'"],
+    ),
+    "empty-flip-grid": (["sweep"], "toy", {"flip_scales": []}, ["'flip_scales'"]),
+    "nan-flip-scale": (["sweep"], "toy", {"flip_scales": [math.nan]}, ["'flip_scales'"]),
+    "simulate-epsilon": (["simulate", "--scheme", "none"], "toy", {"epsilon": 1.5}, ["'epsilon'"]),
+    "optimize-dd-pulse-above-omega_max": (["optimize"], "toy", {"dt": 1e-6}, ["'dt'"]),
+    "optimize-max_iterations": (["optimize"], "toy", {"max_iterations": -3}, ["'max_iterations'"]),
+    "optimize-seed": (["optimize"], "toy", {"seed": -1}, ["'seed'"]),
+    # On a cache hit nothing is optimized, so the config check alone stops these.
+    **{
+        f"optimize-cached-{key}": (["optimize"], "cache", {key: value}, [repr(key)])
+        for key, value in [("fidelity_goal", 1.5), ("amplitude_fraction", 2.0), ("marked", 7)]
+    },
+    # Each value passes alone, but a gate's segments may rotate by more than
+    # UNITARITY_TOL / eps = 4.5e5 rad in all: the bound is infinite for the
+    # overflows and 3.2e20 rad a segment at scale 1e20. With the desk's 1470
+    # segments, 96 is the first whole flip scale rejected (308 rad a segment
+    # against 306). Without the rule, a sweep at flip scale 1e20 would pass
+    # check_unitary, and at rf scale 1e20 numpy's overflow warnings would
+    # reach stderr ahead of the error line.
+    **{
+        f"{command}-cached-{name}": ([command], "cache", change, [repr(next(iter(change)))])
+        for command in ["optimize", "sweep"]
+        for name, change in [
+            ("system-overflow", {"system": {"offset1": 1e308, "offset2": -1e308, "coupling": 70.0}}),
+            ("incoherence_range-overflow", {"incoherence_range": [0.0, 1e308]}),
+            ("rfi_scales-overflow", {"rfi_scales": [1e308]}),
+            ("rfi_scales-1e20", {"rfi_scales": [1e20]}),
+            ("flip_scales-overflow", {"flip_scales": [1.0, 1e308]}),
+            ("flip_scales-1e20", {"flip_scales": [1e20]}),
+            ("flip_scales-96-at-1470-segments", {"flip_scales": [96.0], "n_segments_per_gate": 1470}),
+        ]
+    },
+    # The width hi - lo would overflow inside np.linspace.
+    "incoherence_range-width-overflow": (
+        ["sweep"],
+        "defaults",
+        {"incoherence_range": [-1e308, 1e308]},
+        ["'incoherence_range'"],
+    ),
+    # 10**15 float64 values are 7.1 PiB, which numpy refuses to allocate at once.
+    **{
+        f"{key}-beyond-memory": (["sweep"], "defaults", {key: 10**15}, [repr(key), "allocate"])
+        for key in ["n_segments_per_gate", "incoherence_points"]
+    },
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, workspace, change, words", REJECTED_CONFIGS.values(), ids=list(REJECTED_CONFIGS))
+def test_a_rejected_config_exits_2(request, tmp_path, capsys, command, workspace, change, words):
+    path = tmp_path / "config.json"
+    if workspace == "cache":
+        path, _ = request.getfixturevalue("cached_gates_copy")()
+        config = json.loads(path.read_text())
+    elif workspace == "toy":
+        config = toy_config(tmp_path / "out").to_dict()
+    elif workspace == "defaults":
+        config = {"output_dir": str(tmp_path / "out")}
+    path.write_text(json.dumps(config | change))
+    _assert_rejected(capsys, command, path, words)
 
 
 @pytest.mark.parametrize("value", ["1e300", "nan", "inf"])
@@ -338,20 +413,6 @@ def test_simulate_rejects_cached_pulses_built_for_another_config(cached_gates_co
     assert captured.out == ""
     # nothing was rebuilt or written
     assert {p.name: p.read_bytes() for p in pulse_path.parent.iterdir()} == pulses
-    assert sorted(p.name for p in config_path.parent.iterdir()) == ["config.json", "pulses"]
-
-
-@pytest.mark.parametrize("key, value", [("fidelity_goal", 1.5), ("amplitude_fraction", 2.0), ("marked", 7)])
-def test_optimize_on_a_cache_hit_rejects_a_bad_setting(cached_gates_copy, capsys, key, value):
-    # The cached pulses alone would let these through: nothing is optimized.
-    config_path, pulse_path = cached_gates_copy()
-    config = json.loads(config_path.read_text())
-    config[key] = value
-    config_path.write_text(json.dumps(config))
-    assert main(["optimize", "--config", str(config_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and repr(key) in captured.err
-    assert captured.out == ""
     assert sorted(p.name for p in config_path.parent.iterdir()) == ["config.json", "pulses"]
 
 
@@ -383,98 +444,6 @@ def test_gates_csv_flags_a_scheme_with_a_nan_fidelity(cached_gates_copy, monkeyp
     assert main(["optimize", "--config", str(config_path), "--quiet"]) == 0
     rows = [line.split(",") for line in (config_path.parent / "gates.csv").read_text().splitlines()[1:]]
     assert [(t, w) for _, t, _, w in rows] == [("uw", "1"), ("ud", "1")] * 2
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["optimize", "sweep"])
-@pytest.mark.parametrize(
-    "change, key",
-    [
-        ({"system": {"offset1": 1e308, "offset2": -1e308, "coupling": 70.0}}, "system"),
-        ({"incoherence_range": [0.0, 1e308]}, "incoherence_range"),
-        ({"rfi_scales": [1e308]}, "rfi_scales"),
-        ({"flip_scales": [1.0, 1e308]}, "flip_scales"),
-        ({"flip_scales": [1e20]}, "flip_scales"),
-        ({"flip_scales": [96.0], "n_segments_per_gate": 1470}, "flip_scales"),
-    ],
-)
-def test_a_config_whose_hamiltonians_overflow_exits_2_naming_the_key(cached_gates_copy, capsys, command, change, key):
-    # Each value passes alone, but a gate's segments may rotate by more than
-    # UNITARITY_TOL / eps = 4.5e5 rad in all: the bound is infinite for the
-    # first four and 3.2e20 rad a segment at flip scale 1e20. With the desk's
-    # 1470 segments, 96 is the first whole flip scale rejected (308 rad a
-    # segment against 306). On this cache hit nothing else would stop them,
-    # and a sweep at flip scale 1e20 would pass check_unitary.
-    config_path, _ = cached_gates_copy()
-    config_path.write_text(json.dumps(json.loads(config_path.read_text()) | change))
-    assert main([command, "--config", str(config_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and repr(key) in captured.err
-    assert captured.out == ""
-    assert sorted(p.name for p in config_path.parent.iterdir()) == ["config.json", "pulses"]
-
-
-@pytest.mark.filterwarnings("error")
-def test_an_incoherence_range_whose_width_overflows_exits_2_with_no_warning(tmp_path, capsys):
-    # The width hi - lo would overflow inside np.linspace, whose RuntimeWarnings
-    # would reach stderr ahead of the error line; here they raise. The rotation
-    # rule rejects the range before any noise grid is built.
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"incoherence_range": [-1e308, 1e308], "output_dir": str(tmp_path / "out")}))
-    assert main(["sweep", "--config", str(path)]) == 2
-    captured = capsys.readouterr()
-    first = captured.err.splitlines()[0]
-    assert first.startswith("error:") and "'incoherence_range'" in first
-    assert captured.out == ""
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("key", ["n_segments_per_gate", "incoherence_points"])
-def test_a_size_that_cannot_be_allocated_exits_2_naming_the_key(tmp_path, capsys, key):
-    # 10**15 float64 values are 7.1 PiB, which numpy refuses to allocate at once.
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({key: 10**15, "output_dir": str(tmp_path / "out")}))
-    assert main(["sweep", "--config", str(path)]) == 2
-    captured = capsys.readouterr()
-    first = captured.err.splitlines()[0]
-    assert first.startswith("error:") and repr(key) in first and "allocate" in first
-    assert "Traceback" not in captured.err and captured.out == ""
-    assert not (tmp_path / "out").exists()
-
-
-def test_a_config_nested_too_deeply_exits_2_naming_the_file(tmp_path, capsys):
-    path = tmp_path / "deep.json"
-    path.write_text('{"schemes": ' + "[" * 100000 + "]" * 100000 + "}")
-    assert main(["sweep", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(path) in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("content", [b'{"seed": ', b'\xff\xfe{"seed": 1}'], ids=["truncated", "undecodable"])
-def test_an_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, content):
-    path = tmp_path / "bad.json"
-    path.write_bytes(content)
-    assert main(["sweep", "--config", str(path)]) == 2
-    captured = capsys.readouterr()
-    first = captured.err.splitlines()[0]
-    assert first.startswith("error:") and str(path) in first
-    assert "Traceback" not in captured.err and captured.out == ""
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["optimize", "sweep"])
-def test_a_huge_rf_scale_is_a_config_error_naming_the_key_with_no_warning(cached_gates_copy, capsys, command):
-    # omega_max * 1e20 is finite, but the rotation rule rejects it before any
-    # propagator is built, whose products would overflow; numpy's RuntimeWarnings
-    # would reach stderr ahead of the error line, and here they raise.
-    config_path, _ = cached_gates_copy()
-    config_path.write_text(json.dumps(json.loads(config_path.read_text()) | {"rfi_scales": [1e20]}))
-    assert main([command, "--config", str(config_path)]) == 2
-    captured = capsys.readouterr()
-    first = captured.err.splitlines()[0]
-    assert first.startswith("error:") and "'rfi_scales'" in first
-    assert captured.out == ""
-    assert sorted(p.name for p in config_path.parent.iterdir()) == ["config.json", "pulses"]
 
 
 def test_sweep_with_a_bad_thread_count_exits_2(toy_workspace, capsys, monkeypatch):

@@ -20,6 +20,7 @@ from ddgrape.discord import (
     save_state,
 )
 from ddgrape.grover import GroverSpec, ideal_trajectory
+from ddgrape.nmr import pseudopure_state
 
 
 def bell_state():
@@ -148,6 +149,16 @@ def test_discord_epsilon_scaling_units():
     result = quantum_discord(pp, epsilon=eps)
     assert result.scaled_discord == pytest.approx(result.discord * math.log(2) / eps**2, rel=1e-12)
     assert result.discord < 1e-3  # epsilon^2 suppression
+
+
+@pytest.mark.parametrize(
+    "rho, eps", [(pseudopure_state(1e-170), 1e-170), (bell_state(), 1e-160)], ids=["pseudopure-1e-170", "bell-1e-160"]
+)
+def test_a_scaled_discord_beyond_float64_is_an_error_naming_epsilon(rho, eps):
+    # epsilon^2 underflows to 0 at 1e-170 (0 / 0 here, the discord being 0), and
+    # to a subnormal that overflows D ln2 / epsilon^2 at 1e-160.
+    with pytest.raises(ValueError, match="epsilon"):
+        quantum_discord(rho, epsilon=eps)
 
 
 def test_state_file_roundtrip(tmp_path):
