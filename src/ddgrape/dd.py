@@ -108,14 +108,6 @@ def freeze_into(pulse: PulseSequence, placement: DDPlacement) -> PulseSequence:
     return out
 
 
-def is_cyclic(placement: DDPlacement) -> bool:
-    """True when the net rotation P_M ... P_1 is the identity up to a global phase (1e-10)."""
-    t = ID4.copy()
-    for flip, phase in zip(placement.flips_deg, placement.phases):
-        t = ideal_dd_propagator(flip, phase) @ t
-    return global_phase_distance(t, ID4) <= 1e-10
-
-
 def toggling_check(unitaries, placement: DDPlacement) -> float:
     """Max deviation between the interleaved and toggling-frame products.
 

@@ -270,7 +270,7 @@ def optimize(
     if not np.all(within_omega_max(np.hypot(initial.omega_x, initial.omega_y)[initial.frozen], initial.omega_max)):
         raise ValueError("initial pulse violates omega_max on frozen segments")
 
-    pulse = clip_amplitudes(initial.copy(), config.free_bound)
+    pulse = clip_amplitudes(initial, config.free_bound)
     ensemble = config.rfi_ensemble
     report = robust_fidelity(pulse, target, params, ensemble)
     log = [(0, report.fidelity, 0.0)]
@@ -293,57 +293,46 @@ def optimize(
         fids, gx, gy = _fidelity_and_gradient(expand(x), target, params, ensemble.realizations)
         return -ensemble.mean(fids), -np.concatenate([ensemble.mean(gx)[free], ensemble.mean(gy)[free]])
 
-    class _GoalReached(Exception):
-        pass
-
-    # Past the goal, keep iterating while the fidelity still improves at a
-    # meaningful rate (otherwise a gate that could cheaply reach 0.996 would
-    # be returned the moment it crosses a 0.99 goal).
-    refine_window = 25
-    refine_tol = 1e-4
-    state = {"best": report.fidelity, "it": 0, "mark": None}
+    x0 = np.concatenate([pulse.omega_x[free], pulse.omega_y[free]])
+    best, best_x, mark = report.fidelity, x0, None  # mark: log index of the last window start
 
     def callback(x):
+        # Past the goal, keep iterating while the fidelity still gains 1e-4
+        # per 25 iterations (otherwise a gate that could cheaply reach 0.996
+        # would be returned the moment it crosses a 0.99 goal).
+        nonlocal best, best_x, mark
         f = robust_fidelity(expand(x), target, params, ensemble).fidelity
-        state["it"] += 1
-        if f >= state["best"]:
-            state["best"] = f
-            state["x"] = x
-        log.append((state["it"], state["best"], 0.0))
-        if state["best"] < config.fidelity_goal:
+        if f >= best:
+            best, best_x = f, x
+        it = len(log)
+        log.append((it, best, 0.0))
+        if best < config.fidelity_goal:
             return
-        if state["mark"] is None:
-            state["mark"] = (state["it"], state["best"])
-            return
-        it0, f0 = state["mark"]
-        if state["it"] - it0 >= refine_window:
-            if state["best"] - f0 < refine_tol:
-                raise _GoalReached
-            state["mark"] = (state["it"], state["best"])
+        if mark is None:
+            mark = it
+        elif it - mark >= 25:
+            if best - log[mark][1] < 1e-4:
+                raise StopIteration
+            mark = it
 
-    x0 = np.concatenate([pulse.omega_x[free], pulse.omega_y[free]])
     # Componentwise bound keeps the amplitude norm within omega_max.
     lim = min(pulse.omega_max / math.sqrt(2.0), config.free_bound / math.sqrt(2.0))
-    bounds = [(-lim, lim)] * (2 * n_free)
-    try:
-        res = minimize(
-            fun,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            callback=callback,
-            options={"maxiter": config.max_iterations, "ftol": 1e-14, "gtol": 1e-14},
-        )
-        x_final = res.x
-        if "x" in state and robust_fidelity(expand(res.x), target, params, ensemble).fidelity < state["best"]:
-            x_final = state["x"]
-    except _GoalReached:
-        x_final = state["x"]
+    res = minimize(
+        fun,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(-lim, lim)] * (2 * n_free),
+        callback=callback,
+        options={"maxiter": config.max_iterations, "ftol": 1e-14, "gtol": 1e-14},
+    )
+    x_final = res.x
+    if robust_fidelity(expand(res.x), target, params, ensemble).fidelity < best:
+        x_final = best_x
     out = clip_amplitudes(expand(x_final), config.free_bound)
     # The L-BFGS terminal point can differ from the best logged iterate only
     # by line-search round-off; keep it if it is at least as good.
     f_out = robust_fidelity(out, target, params, ensemble).fidelity
-    if f_out + 1e-12 < state["best"]:
-        log.append((state["it"] + 1, f_out, 0.0))
+    if f_out + 1e-12 < best:
+        log.append((len(log), f_out, 0.0))
     return out, robust_fidelity(out, target, params, ensemble), log

@@ -114,12 +114,9 @@ class ExperimentConfig:
             raise ValueError("config key 'incoherence_range' must hold 2 values")
         if not _finite(self.free_amplitude_bound):
             raise ValueError(f"config key 'free_amplitude_bound' must be finite, got {self.free_amplitude_bound!r}")
-        # Every restart seed, seed + 1000 * attempt (+ 17), must be >= 0 for numpy.
-        if not self.seed >= 0:
-            raise ValueError(f"config key 'seed' must be >= 0, got {self.seed!r}")
         # Every other value is checked by building from it what a run builds.
         self._build(
-            ("n_segments_per_gate", "dt", "omega_max", "amplitude_fraction"),
+            ("n_segments_per_gate", "dt", "omega_max", "amplitude_fraction", "seed"),
             lambda c: random_initial_pulse(c.n_segments_per_gate, c.dt, c.omega_max, c.amplitude_fraction, c.seed),
         )
         # The one overflow check, ahead of every noise grid it keeps finite.
@@ -420,7 +417,7 @@ def _record(config: ExperimentConfig, label: StageLabel, rho: np.ndarray) -> Tra
         stage=label,
         marked_prob=marked_probability(rho, config.marked),
         discord=d.discord,
-        scaled_discord=d.scaled_discord if d.scaled_discord is not None else d.discord,
+        scaled_discord=d.scaled_discord,
     )
 
 

@@ -285,8 +285,8 @@ def evolve_ensemble(rho0: np.ndarray, ensemble: NoiseEnsemble, stages) -> list[n
 
 def pseudopure_state(epsilon: float) -> np.ndarray:
     """(1-eps) * Id/4 + eps * |00><00|."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     rho = np.eye(4, dtype=complex) * (1.0 - epsilon) / 4.0
     rho[0, 0] += epsilon
     return rho

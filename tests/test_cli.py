@@ -330,6 +330,7 @@ REJECTED_CONFIGS = {
     "empty-flip-grid": (["sweep"], "toy", {"flip_scales": []}, ["'flip_scales'"]),
     "nan-flip-scale": (["sweep"], "toy", {"flip_scales": [math.nan]}, ["'flip_scales'"]),
     "simulate-epsilon": (["simulate", "--scheme", "none"], "toy", {"epsilon": 1.5}, ["'epsilon'"]),
+    "simulate-epsilon-0": (["simulate", "--scheme", "none"], "toy", {"epsilon": 0}, ["'epsilon'"]),
     "optimize-dd-pulse-above-omega_max": (["optimize"], "toy", {"dt": 1e-6}, ["'dt'"]),
     "optimize-max_iterations": (["optimize"], "toy", {"max_iterations": -3}, ["'max_iterations'"]),
     "optimize-seed": (["optimize"], "toy", {"seed": -1}, ["'seed'"]),

@@ -13,7 +13,6 @@ from ddgrape.dd import (
     freeze_into,
     hard_pulse_amplitude,
     ideal_dd_propagator,
-    is_cyclic,
     place_dd,
     toggling_check,
 )
@@ -120,7 +119,6 @@ def test_toggling_check_xy4():
     placement = DDPlacement((0, 1, 2, 3), (180,) * 4, ("x", "y", "x", "y"))
     us = [random_unitary(rng) for _ in range(5)]
     assert toggling_check(us, placement) < 1e-10
-    assert is_cyclic(placement)
 
 
 def test_toggling_check_single_pi_pulse_needs_net_rotation():
@@ -129,7 +127,6 @@ def test_toggling_check_single_pi_pulse_needs_net_rotation():
     placement = DDPlacement((0,), (180,), ("x",))
     us = [random_unitary(rng) for _ in range(2)]
     assert toggling_check(us, placement) < 1e-10
-    assert not is_cyclic(placement)
 
 
 def test_toggling_identity_random_schemes():
@@ -140,11 +137,6 @@ def test_toggling_identity_random_schemes():
         placement = DDPlacement(tuple(range(m)), flips, phases)
         us = [random_unitary(rng) for _ in range(m + 1)]
         assert toggling_check(us, placement) < 1e-10
-
-
-def test_non_cyclic_scheme_flagged():
-    placement = DDPlacement((0,), (90.0,), ("x",))
-    assert not is_cyclic(placement)
 
 
 def test_scheme_descriptor_parse():

@@ -212,6 +212,22 @@ def test_optimize_preserves_frozen_segments_exactly():
     assert not np.array_equal(out.omega_x[~pulse.frozen], pulse.omega_x[~pulse.frozen])
 
 
+def test_optimize_stops_once_a_window_past_the_goal_gains_too_little():
+    # Goal crossed at iteration 5; the window 5-30 still gains 4e-3, the
+    # window 30-55 only 3e-5, so the run stops at 55 of its 200 iterations.
+    ensemble = NoiseEnsemble(tuple(NoiseRealization(rf_scale=s) for s in (0.95, 1.0, 1.05)))
+    target = TargetGate(unitary_exp(collective_operator("x"), math.pi))
+    pulse = random_initial_pulse(50, 5.1e-6, OMEGA_MAX, 0.05, 1)
+    cfg = OptimizationConfig(max_iterations=200, fidelity_goal=0.99, rfi_ensemble=ensemble)
+    _, report, log = optimize(pulse, target, SystemParams(0, 0, 0), cfg)
+    fids = [f for _, f, _ in log]
+    first = next(it for it, f, _ in log if f >= cfg.fidelity_goal)
+    assert len(log) - 1 < cfg.max_iterations
+    assert len(log) - 1 - first >= 25
+    assert fids[-1] - fids[-26] < 1e-4
+    assert report.fidelity >= max(fids) - 1e-12
+
+
 def test_optimize_rejects_overdriven_frozen_segment():
     pulse = PulseSequence(np.array([2.0 * OMEGA_MAX, 0.0]), np.zeros(2), np.array([True, False]), 5.1e-6, OMEGA_MAX)
     with pytest.raises(ValueError):

@@ -263,11 +263,11 @@ def test_evolve_ensemble_rejects_a_mean_state_without_unit_trace():
 
 def test_pseudopure_state_examples():
     assert np.allclose(pseudopure_state(1.0), np.diag([1, 0, 0, 0]))
-    assert np.allclose(pseudopure_state(0.0), np.eye(4) / 4)
     evals = sorted(np.linalg.eigvalsh(pseudopure_state(0.01)), reverse=True)
     assert np.allclose(evals, [0.2575, 0.2475, 0.2475, 0.2475], atol=1e-14)
-    with pytest.raises(ValueError):
-        pseudopure_state(1.5)
+    for epsilon in (0.0, 1.5):
+        with pytest.raises(ValueError, match="epsilon"):
+            pseudopure_state(epsilon)
 
 
 def test_mean_is_the_left_fold_in_member_order():
