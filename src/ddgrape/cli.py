@@ -16,10 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 import ddgrape
 from ddgrape.discord import load_state, quantum_discord
@@ -31,6 +33,7 @@ from ddgrape.harness import (
     rms_deviation,
     robustness_sweep,
     run_trajectory,
+    worker_count,
 )
 from ddgrape.nmr import NoiseEnsemble
 
@@ -81,15 +84,23 @@ def cmd_analyze(args, config: ExperimentConfig):
 
 def run_config_command(args) -> int:
     """Load the config, run the command, and write its table and then
-    `run_manifest.json` into the config's `output_dir`."""
+    `run_manifest.json` into the config's `output_dir`. The manifest holds
+    the config, the seed, the Python, ddgrape, numpy and scipy versions and
+    the number of pool workers, resolved before the command runs."""
     config = ExperimentConfig.from_json(args.config)
+    workers = worker_count()
     name, header, rows = args.table(args, config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
     (out / name).write_text("\n".join([header, *lines]) + "\n")
-    versions = {"ddgrape": ddgrape.__version__, "numpy": np.__version__}
-    manifest = {"config": config.to_dict(), "seed": config.seed, "versions": versions}
+    versions = {
+        "ddgrape": ddgrape.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "scipy": scipy.__version__,
+    }
+    manifest = {"config": config.to_dict(), "seed": config.seed, "versions": versions, "workers": workers}
     (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     if args.table is not cmd_optimize:  # optimize prints each gate's fidelity instead
         print(f"wrote {out / name}")

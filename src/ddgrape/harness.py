@@ -69,11 +69,13 @@ CANDIDATES = 3
 
 def worker_count() -> int:
     """Worker bound from DDGRAPE_THREADS, an integer >= 0 (0 or unset = one
+    per CPU this process may run on, where the platform says which, else one
     per CPU); any other value raises a ValueError."""
     raw = os.environ.get("DDGRAPE_THREADS", "0")
     if not raw.isdecimal():
         raise ValueError(f"DDGRAPE_THREADS must be an integer >= 0, got {raw!r}")
-    return int(raw) or os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return int(raw) or cpus or 1
 
 
 @dataclass

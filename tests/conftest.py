@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ddgrape.harness import ExperimentConfig
-from ddgrape.nmr import SystemParams
+from ddgrape.nmr import NoiseEnsemble, NoiseRealization, SystemParams
 
 GATE_CACHE = Path(__file__).parent / "_gate_cache"
 
@@ -40,6 +40,14 @@ def random_mixed_state(rng, n=4, ancilla=4):
 
 def random_density_2x2(rng):
     return random_mixed_state(rng, n=2, ancilla=2)
+
+
+def sweep_members(cfg: ExperimentConfig) -> list[NoiseRealization]:
+    """The robustness sweep's flip and phase members, first alone, then at
+    both ends of the config's incoherence grid."""
+    ends = NoiseEnsemble(tuple(NoiseRealization(offset_shift=s) for s in cfg.incoherence_range))
+    grids = list(cfg.error_ensembles().values())
+    return [m for grid in grids + [g.combined_with(ends) for g in grids] for m in grid.realizations]
 
 
 def desk_config(**overrides) -> ExperimentConfig:

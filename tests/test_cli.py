@@ -3,20 +3,23 @@ import dataclasses
 import io
 import json
 import math
+import platform
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_config
+import ddgrape
 from ddgrape import cli, harness
 from ddgrape.cli import main
 from ddgrape.discord import save_state
 from ddgrape.grape import FidelityReport
-from ddgrape.harness import ExperimentConfig, _pulse_path
+from ddgrape.harness import ExperimentConfig, _pulse_path, worker_count
 from ddgrape.nmr import load_pulse
 
 
@@ -113,7 +116,22 @@ def test_optimize_writes_gates_csv_and_manifest(toy_workspace):
     assert len(lines) == 1 + 2 * len(cfg.schemes)
     manifest = json.loads(open(f"{out}/run_manifest.json").read())
     assert manifest["seed"] == cfg.seed
-    assert "numpy" in manifest["versions"]
+    assert manifest["versions"] == {
+        "ddgrape": ddgrape.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "scipy": scipy.__version__,
+    }
+    assert manifest["workers"] == worker_count() >= 1
+
+
+def test_the_manifest_records_the_resolved_worker_count(toy_workspace, monkeypatch):
+    cfg, config_path = toy_workspace
+    for env in ("1", "3", "0"):
+        monkeypatch.setenv("DDGRAPE_THREADS", env)
+        assert main(["optimize", "--config", str(config_path), "--quiet"]) == 0
+        manifest = json.loads(Path(cfg.output_dir, "run_manifest.json").read_text())
+        assert manifest["workers"] == (int(env) or worker_count())
 
 
 def test_simulate_writes_trajectory(toy_workspace, capsys):

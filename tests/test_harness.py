@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import threading
 import tracemalloc
@@ -84,6 +85,22 @@ def test_worker_count_env(monkeypatch):
         monkeypatch.setenv("DDGRAPE_THREADS", bad)
         with pytest.raises(ValueError, match="DDGRAPE_THREADS"):
             worker_count()
+
+
+def test_worker_count_counts_the_cpus_the_process_may_run_on(monkeypatch):
+    # os.cpu_count() counts every CPU of the machine, also those outside the
+    # process's affinity mask (taskset, a container's cpuset).
+    monkeypatch.delenv("DDGRAPE_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert worker_count() == 3
+    monkeypatch.setenv("DDGRAPE_THREADS", "2")
+    assert worker_count() == 2
+    monkeypatch.delenv("DDGRAPE_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count() == 1
 
 
 def test_config_json_roundtrip(tmp_path):

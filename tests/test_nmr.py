@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unitary
+from conftest import random_unitary, sweep_members
 from ddgrape.core import ID4, collective_operator, is_unitary, unitary_exp
 from ddgrape.dd import DDScheme, freeze_into, place_dd
 from ddgrape.nmr import (
@@ -17,6 +17,8 @@ from ddgrape.nmr import (
     NoiseRealization,
     PulseSequence,
     SystemParams,
+    _mul4,
+    apply_noise_to_amplitudes,
     evolve_ensemble,
     load_pulse,
     ordered_product,
@@ -25,6 +27,7 @@ from ddgrape.nmr import (
     save_pulse,
     segment_hamiltonians,
     sequence_propagator,
+    shifted_params,
     system_hamiltonian,
     within_omega_max,
 )
@@ -406,6 +409,48 @@ def test_ordered_product_matches_left_fold(k):
     for u in us[1:]:
         fold = u @ fold
     assert np.max(np.abs(ordered_product(us) - fold)) <= 1e-13
+    # Each round is one _mul4 over (4, 4, n) stacks; it also takes a complex
+    # stack times a real one (and the reverse), giving what matmul gives.
+    real = np.linalg.qr(rng.normal(size=(k, 4, 4)))[0]
+    for a, b in ((us, real), (real, us), (real, real)):
+        product = np.moveaxis(_mul4(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)), -1, 0)
+        assert product.dtype == (a @ b).dtype
+        assert np.max(np.abs(product - a @ b)) <= 2e-15
+
+
+def _two_real_matmul_propagator(pulse, params, noise):
+    """sequence_propagator as it was before its 4 x 4 products became
+    elementwise: the recompose as two real batched matmuls, the pairwise
+    tree as complex ones."""
+    hs = np.diag(system_hamiltonian(shifted_params(params, noise))).real
+    ox, oy = apply_noise_to_amplitudes(pulse.omega_x, pulse.omega_y, noise)
+    omega = np.hypot(ox, oy)
+    w, v = np.linalg.eigh(np.diag(hs) + omega[:, None, None] * FX.real)
+    vt = v.swapaxes(-1, -2)
+    us = np.empty(v.shape, dtype=complex)
+    us.real = (v * np.cos(w * pulse.dt)[:, None, :]) @ vt
+    us.imag = (v * -np.sin(w * pulse.dt)[:, None, :]) @ vt
+    phase = np.divide(ox + 1j * oy, omega, out=np.ones(omega.shape, dtype=complex), where=omega > 0)
+    us[:, 0, :] *= phase.conj()[:, None]
+    us[:, 3, :] *= phase[:, None]
+    us[:, :, 0] *= phase[:, None]
+    us[:, :, 3] *= phase.conj()[:, None]
+    while us.shape[0] > 1:
+        pairs = us[1::2] @ us[0:-1:2]
+        us = np.concatenate((pairs, us[-1:])) if us.shape[0] % 2 else pairs
+    return us[0]
+
+
+def test_sequence_propagator_matches_its_two_real_matmul_form_on_desk_pulses(desk_gates):
+    cfg, gates = desk_gates
+    members = sweep_members(cfg)[::2]
+    worst = 0.0
+    for gate_set in gates.values():
+        for pulse in (gate_set.pulse_w, gate_set.pulse_d):
+            for member in members:
+                u = sequence_propagator(pulse, cfg.system, member)
+                worst = max(worst, np.max(np.abs(u - _two_real_matmul_propagator(pulse, cfg.system, member))))
+    assert worst <= 1e-13
 
 
 def _pulse_file(tmp_path):
