@@ -169,21 +169,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def entropy_2x2(trace: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Entropy in bits of 2x2 Hermitian PSD matrices from trace and determinant.
-
-    Vectorized closed form: eigenvalues (t +/- sqrt(t^2 - 4 det)) / 2.
-    Inputs may be arrays of matching shape.
-    """
-    t = np.asarray(trace, dtype=float)
-    d = np.asarray(det, dtype=float)
-    disc = np.sqrt(np.maximum(t * t - 4.0 * d, 0.0))
-    out = 0.0
-    for lam in (np.maximum((t - disc) / 2.0, 0.0), np.maximum((t + disc) / 2.0, 0.0)):
-        out = out - lam * np.log2(np.where(lam > 0, lam, 1.0))
-    return out
-
-
 def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Max entrywise |a - e^{i phi} b| minimized over the global phase phi."""
     overlap = np.trace(dagger(b) @ a)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ddgrape.core import check_density_matrix, entropy_2x2, partial_trace, von_neumann_entropy
+from ddgrape.core import check_density_matrix, partial_trace, von_neumann_entropy
 
 LN2 = math.log(2.0)
 
@@ -110,10 +110,12 @@ _HALF_SIGNS = np.array([[0.5], [-0.5]])
 def _conditional_entropy_bases(blocks: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """H_Pi(S|A) in bits for every measurement axis in `axes` (3, ...).
 
-    One (4, 3) @ (3, B) product gives n.T for all axes; each outcome then
-    contributes p H(M/p) = S2(M) + p log2 p, with S2 the entropy of the
-    unnormalized block from its trace p and determinant. Outcomes with
-    p <= 1e-12 contribute nothing.
+    One (4, 3) @ (3, B) product gives n.T for all axes. An outcome with
+    trace p and determinant det leaves S in M/p, whose Bloch length is
+    x = sqrt(p^2 - 4 det) / p, so it contributes p h2(q) with q = (1 + x) / 2
+    and h2 the binary entropy. The discriminant is clipped to [0, p^2]; a
+    pure outcome (det <= 0 after rounding) gets x = 1 and adds exactly 0.
+    Outcomes with p <= 1e-12 contribute nothing.
     """
     shift = blocks[1:].T @ axes.reshape(3, -1)  # n.T, (4, B)
     m = 0.5 * blocks[0][:, None, None] + _HALF_SIGNS * shift[:, None, :]  # M_+ and M_-, (4, 2, B)
@@ -121,7 +123,11 @@ def _conditional_entropy_bases(blocks: np.ndarray, axes: np.ndarray) -> np.ndarr
     det = m[0] * m[1] - m[2] * m[2] - m[3] * m[3]
     mask = p > 1e-12
     safe_p = np.where(mask, p, 1.0)
-    h = entropy_2x2(p, np.maximum(det, 0.0)) + safe_p * np.log2(safe_p)
+    p2 = safe_p * safe_p
+    x = np.sqrt(np.clip(p2 - 4.0 * det, 0.0, p2)) / safe_p
+    q, r = 0.5 + 0.5 * x, 0.5 - 0.5 * x
+    # r is 0 for a pure outcome: 0 * log2(tiny) adds the 0 log 0 = 0 term.
+    h = -safe_p * (q * np.log2(q) + r * np.log2(np.maximum(r, np.finfo(float).tiny)))
     return np.where(mask, h, 0.0).sum(axis=0).reshape(axes.shape[1:])
 
 
@@ -231,12 +237,15 @@ def quantum_discord(rho: np.ndarray, epsilon: float | None = None) -> DiscordRes
 
     Results within -1e-8 of zero are clamped to 0. When epsilon is given
     (pseudopure input), scaled_discord = D * ln2 / epsilon^2 is populated;
-    an epsilon so small that this is not a finite float raises a ValueError.
+    an epsilon outside (0, 1], NaN included, or so small that this is not a
+    finite float raises a ValueError.
     D carries about 1e-15 bits of rounding, so the quotient loses its meaning
     well before that, as epsilon^2 approaches 1e-15: on the ideal W1 stage of
     GroverSpec(1, 2) it reads 1.0001 at epsilon = 1e-6, 0.970 at 1e-7 and 0
     at 1e-8, with no error.
     """
+    if epsilon is not None and not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
     h_a = von_neumann_entropy(partial_trace(rho, "A"))
     h_s = von_neumann_entropy(partial_trace(rho, "S"))
     h_sa = von_neumann_entropy(rho)
@@ -250,7 +259,7 @@ def quantum_discord(rho: np.ndarray, epsilon: float | None = None) -> DiscordRes
     info = h_s + h_a - h_sa
     classical = h_s - h_min
     scaled = None
-    if epsilon is not None and epsilon > 0:
+    if epsilon is not None:
         # epsilon^2 underflows to 0 below about 1e-162, and to a subnormal that
         # overflows the quotient a little above.
         square = epsilon * epsilon

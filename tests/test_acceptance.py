@@ -6,6 +6,7 @@ import math
 import shutil
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -216,7 +217,12 @@ def test_criterion_7_pseudopure_scaling():
     assert elapsed < 60
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, toy_gates):
+    # Run a optimizes the toy gates from scratch; run b loads the session's
+    # own toy build from a copy of its pulse cache. Two independent builds
+    # are compared, their pulse files as well as the CSVs.
+    session_cfg, _ = toy_gates
+    shutil.copytree(Path(session_cfg.output_dir) / "pulses", tmp_path / "b" / "pulses")
     outputs = []
     for run in ("a", "b"):
         out = tmp_path / run
@@ -226,13 +232,10 @@ def test_criterion_8_determinism(tmp_path):
         assert cli_main(["optimize", "--config", str(config_path), "--quiet"]) == 0
         assert cli_main(["simulate", "--config", str(config_path), "--scheme", "xy:90:20"]) == 0
         assert cli_main(["sweep", "--config", str(config_path)]) == 0
-        outputs.append(
-            {
-                name: (out / name).read_bytes()
-                for name in ("gates.csv", "trajectory__xy-90-20__none.csv", "sweep.csv")
-            }
-        )
-        shutil.rmtree(out / "pulses")
-    identical = all(outputs[0][k] == outputs[1][k] for k in outputs[0])
-    _report(8, identical, "optimize+simulate+sweep CSVs byte-identical across two runs")
+        names = ["gates.csv", "trajectory__xy-90-20__none.csv", "sweep.csv"]
+        names += sorted(f"pulses/{p.name}" for p in (out / "pulses").iterdir())
+        outputs.append({name: (out / name).read_bytes() for name in names})
+    identical = outputs[0] == outputs[1]
+    pulses = len(outputs[0]) - 3
+    _report(8, identical, f"optimize+simulate+sweep CSVs and {pulses} pulse files byte-identical across two builds")
     assert identical

@@ -12,7 +12,6 @@ from ddgrape.core import (
     TAYLOR_THETA,
     batched_unitary_exp,
     collective_operator,
-    entropy_2x2,
     is_unitary,
     partial_trace,
     spin_operator,
@@ -176,14 +175,3 @@ def test_entropy_unitary_invariance():
         rho = random_mixed_state(rng)
         u = random_unitary(rng)
         assert abs(von_neumann_entropy(rho) - von_neumann_entropy(u @ rho @ u.conj().T)) <= 1e-9
-
-
-def test_entropy_2x2_matches_eigendecomposition():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        rho = random_mixed_state(rng, n=2, ancilla=3)
-        p = rng.uniform(0.1, 1.0)
-        m = p * rho
-        expected = p * von_neumann_entropy(rho)
-        got = p * entropy_2x2(1.0, np.linalg.det(m).real / p**2)
-        assert got == pytest.approx(expected, abs=1e-10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_mixed_state, random_pure_state, random_unitary
-from ddgrape.core import SIGMA_X, SIGMA_Y, SIGMA_Z, entropy_2x2, von_neumann_entropy, partial_trace
+from ddgrape.core import SIGMA_X, SIGMA_Y, SIGMA_Z, von_neumann_entropy, partial_trace
 from ddgrape.discord import (
     MeasurementBasis,
     _bloch_axes,
@@ -151,6 +151,12 @@ def test_discord_epsilon_scaling_units():
     assert result.discord < 1e-3  # epsilon^2 suppression
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, 1.5])
+def test_an_epsilon_outside_the_unit_interval_is_an_error_naming_epsilon(eps):
+    with pytest.raises(ValueError, match="epsilon"):
+        quantum_discord(bell_state(), epsilon=eps)
+
+
 @pytest.mark.parametrize(
     "rho, eps", [(pseudopure_state(1e-170), 1e-170), (bell_state(), 1e-160)], ids=["pseudopure-1e-170", "bell-1e-160"]
 )
@@ -186,9 +192,10 @@ def test_kernel_at_the_poles_and_with_a_zero_probability_outcome():
     assert np.all(np.abs(_kernel(states[0], thetas, phis)) < 1e-12)
 
 
-# A test-only verbatim copy of the einsum kernel and the one-start-at-a-time
-# zoom that the closed-form kernel and the batched zoom replaced: the oracle
-# for the minimizer.
+# A test-only copy of the einsum kernel and the one-start-at-a-time zoom
+# that the closed-form kernel and the batched zoom replaced, the kernel
+# taking each outcome's entropy from eigvalsh rather than a closed form:
+# the oracle for the minimizer.
 
 
 def _reference_conditional_entropy_bases(rho, thetas, phis):
@@ -196,19 +203,13 @@ def _reference_conditional_entropy_bases(rho, thetas, phis):
     kets = np.stack([np.cos(half), np.sin(half) * np.exp(1j * phis)], axis=1)  # (B, 2)
     r = rho.reshape(2, 2, 2, 2)  # (s, a, s', a')
     m0 = np.einsum("Ba,saSA,BA->BsS", kets.conj(), r, kets, optimize=True)
-    rho_s = partial_trace(rho, "S")
-    m1 = rho_s[None, :, :] - m0
-
-    out = np.zeros(len(thetas))
-    for m in (m0, m1):
-        p = np.einsum("Bss->B", m).real
-        det = (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]).real
-        mask = p > 1e-12
-        # entropy of M/p scaled by p: p * H2(tr=1, det/p^2)
-        safe_p = np.where(mask, p, 1.0)
-        h = entropy_2x2(np.ones_like(p), np.clip(det, 0.0, None) / (safe_p * safe_p))
-        out += np.where(mask, p * h, 0.0)
-    return out
+    m = np.stack([m0, partial_trace(rho, "S")[None, :, :] - m0])  # both outcomes, (2, B, 2, 2)
+    p = np.einsum("oBss->oB", m).real
+    mask = p > 1e-12
+    # p * H(M/p) from the eigenvalues of M/p, with 0 log 0 = 0
+    lam = np.clip(np.linalg.eigvalsh(m / np.where(mask, p, 1.0)[..., None, None]), 0.0, None)
+    h = -np.sum(lam * np.log2(np.where(lam > 0, lam, 1.0)), axis=-1)
+    return np.where(mask, p * h, 0.0).sum(axis=0)
 
 
 def _reference_grid_min(rho, thetas, phis):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from exact import LONGDOUBLE_IS_EXTENDED, first_segments, longdouble_propagator, mpmath_propagator
+from exact import LONGDOUBLE_IS_EXTENDED, first_segments, longdouble_gradient, longdouble_propagator, mpmath_propagator
 from conftest import sweep_members
 from ddgrape.core import batched_unitary_exp
-from ddgrape.grape import TargetGate, gate_fidelity, robust_fidelity
+from ddgrape.grape import TargetGate, fidelity_gradient, gate_fidelity, robust_fidelity
 from ddgrape.grover import diffusion_unitary, oracle_unitary
 from ddgrape.nmr import NoiseRealization, ordered_product, segment_hamiltonians, sequence_propagator
 
@@ -14,6 +14,10 @@ from ddgrape.nmr import NoiseRealization, ordered_product, segment_hamiltonians,
 # products 4.05e-15 over the RFI members (4.28e-15 before).
 SEQUENCE_PROPAGATOR_BOUND = 2e-14
 ROBUST_PRODUCT_BOUND = 1e-14
+# Largest gradient error against the exact gradient, relative to the largest
+# exact entry: 6.46e-14 over the four toy pulses and their RFI members (the
+# unit-scale members, where the gradient is smallest, the worst).
+GRADIENT_BOUND = 1.3e-13
 # Where long double is no wider than float64, mpmath takes over on the first
 # MPMATH_SEGMENTS segments of each pulse and the sweep's plain members.
 MPMATH_SEGMENTS = 4
@@ -50,3 +54,16 @@ def test_forward_kernels_stay_within_measured_bounds_of_the_exact_propagator(toy
         assert robust_fidelity(pulse, targets[label], cfg.system, rfi).fidelity == rfi.mean(gate_fidelity(u, target) for u in us)
         for u, r in zip(us, rfi.realizations):
             assert np.max(np.abs(u - exact(pulse, cfg.system, r))) <= ROBUST_PRODUCT_BOUND, r
+
+
+def test_fidelity_gradient_stays_within_a_measured_bound_of_the_exact_gradient(toy_gates):
+    if not LONGDOUBLE_IS_EXTENDED:
+        pytest.skip("long double is no wider than float64 here")
+    cfg, gates = toy_gates
+    targets = {"uw": TargetGate(oracle_unitary(cfg.marked)), "ud": TargetGate(diffusion_unitary())}
+    for gate in gates.values():
+        for label, pulse in (("uw", gate.pulse_w), ("ud", gate.pulse_d)):
+            for member in cfg.rfi_ensemble().realizations:
+                got = np.array(fidelity_gradient(pulse, targets[label], cfg.system, member))
+                exact = np.array(longdouble_gradient(pulse, targets[label], cfg.system, member))
+                assert np.max(np.abs(got - exact)) <= GRADIENT_BOUND * np.max(np.abs(exact)), (label, member)
