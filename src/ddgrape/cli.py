@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import platform
 import sys
 from pathlib import Path
@@ -108,11 +107,7 @@ def run_config_command(args) -> int:
 
 
 def cmd_discord(args) -> int:
-    eps = args.epsilon
-    if eps is not None and not (math.isfinite(eps) and 0.0 < eps <= 1.0):
-        raise ValueError(f"--epsilon must be a finite value in (0, 1], got {eps!r}")
-    rho = load_state(args.state)
-    result = quantum_discord(rho, epsilon=eps)
+    result = quantum_discord(load_state(args.state), epsilon=args.epsilon)
     print(f"discord={result.discord:.6f}")
     print(f"mutual_information={result.mutual_information:.6f}")
     print(f"classical_correlation={result.classical_correlation:.6f}")

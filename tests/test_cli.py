@@ -34,42 +34,14 @@ def toy_workspace(toy_gates):
     return cfg, path
 
 
-def test_no_subcommand_prints_usage(capsys):
-    assert main([]) == 1
-    captured = capsys.readouterr()
-    assert "usage" in captured.err.lower()
-    assert captured.out == ""
-
-
-def test_bad_state_file_exits_2(tmp_path, capsys):
-    bad = tmp_path / "state.txt"
-    bad.write_text("1 2 3\n")
-    assert main(["discord", "--state", str(bad)]) == 2
-    first = capsys.readouterr().err.splitlines()[0]
-    assert "16 entries" in first and str(bad) in first
-
-
-@pytest.mark.parametrize("content", [b"1 2 3 x\n", b"\xff\xfe1 0 0 0\n"], ids=["unparsable", "undecodable"])
-def test_an_unreadable_state_file_exits_2_naming_the_file(tmp_path, capsys, content):
-    bad = tmp_path / "state.txt"
-    bad.write_bytes(content)
-    assert main(["discord", "--state", str(bad)]) == 2
-    captured = capsys.readouterr()
-    first = captured.err.splitlines()[0]
-    assert first.startswith("error:") and str(bad) in first
-    assert "Traceback" not in captured.err and captured.out == ""
-
-
-def _bell_state_file(tmp_path):
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = psi[3] = 1 / math.sqrt(2)
-    path = tmp_path / "bell.txt"
-    save_state(path, np.outer(psi, psi.conj()))
-    return path
+MIXED = np.eye(4, dtype=complex) / 4
+BELL = np.zeros((4, 4), dtype=complex)
+BELL[::3, ::3] = 0.5
 
 
 def test_discord_command_bell_state(tmp_path, capsys):
-    path = _bell_state_file(tmp_path)
+    path = tmp_path / "bell.txt"
+    save_state(path, BELL)
     assert main(["discord", "--state", str(path)]) == 0
     out = capsys.readouterr().out
     assert "discord=1.000000" in out
@@ -77,35 +49,12 @@ def test_discord_command_bell_state(tmp_path, capsys):
 
 
 def test_discord_command_epsilon_scaling(tmp_path, capsys):
-    rho = np.eye(4, dtype=complex) / 4
     path = tmp_path / "mixed.txt"
-    save_state(path, rho)
+    save_state(path, MIXED)
     assert main(["discord", "--state", str(path), "--epsilon", "0.5"]) == 0
     out = capsys.readouterr().out
     assert "discord=0.000000" in out
     assert "scaled_discord=0.000000" in out
-
-
-@pytest.mark.parametrize("epsilon", ["1.5", "0", "-1", "nan"])
-def test_discord_epsilon_outside_unit_interval_exits_2(tmp_path, capsys, epsilon):
-    path = tmp_path / "mixed.txt"
-    save_state(path, np.eye(4, dtype=complex) / 4)
-    assert main(["discord", "--state", str(path), "--epsilon", epsilon]) == 2
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "--epsilon" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("epsilon", ["1e-300", "1e-160"])
-def test_discord_epsilon_too_small_for_the_scaled_discord_exits_2(tmp_path, capsys, epsilon):
-    # D ln2 / epsilon^2 with D = 1: epsilon^2 underflows to 0 at 1e-300, and
-    # to a subnormal that overflows the quotient at 1e-160.
-    path = _bell_state_file(tmp_path)
-    assert main(["discord", "--state", str(path), "--epsilon", epsilon]) == 2
-    captured = capsys.readouterr()
-    [line] = captured.err.splitlines()
-    assert line.startswith("error:") and "epsilon" in line
-    assert captured.out == ""
 
 
 def test_optimize_writes_gates_csv_and_manifest(toy_workspace):
@@ -145,12 +94,6 @@ def test_simulate_writes_trajectory(toy_workspace, capsys):
     assert rows[2].startswith("H,")
 
 
-def test_simulate_unknown_noise_rejected(toy_workspace, capsys):
-    _, config_path = toy_workspace
-    assert main(["simulate", "--config", str(config_path), "--scheme", "none", "--noise", "bogus"]) == 1
-    assert "invalid choice: 'bogus'" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -158,6 +101,8 @@ def test_simulate_unknown_noise_rejected(toy_workspace, capsys):
         (["sweep", "--quiet", "--config", "c.json"], "unrecognized arguments: --quiet"),
         (["bogus"], "invalid choice: 'bogus'"),
         (["discord", "--state", "s.txt", "--epsilon", "abc"], "invalid float value: 'abc'"),
+        ([], "{optimize,simulate,discord,sweep,analyze}"),
+        (["simulate", "--config", "c.json", "--scheme", "none", "--noise", "bogus"], "invalid choice: 'bogus'"),
     ],
 )
 def test_usage_error_exits_1_with_usage_and_no_traceback(capsys, argv, message):
@@ -240,33 +185,6 @@ def test_simulate_rerun_is_byte_identical(toy_workspace):
     assert open(path, "rb").read() == first
 
 
-def test_state_that_is_not_a_density_matrix_exits_2(tmp_path, capsys):
-    path = tmp_path / "trace2.txt"
-    save_state(path, np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex))
-    assert main(["discord", "--state", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "trace" in captured.err and str(path) in captured.err
-    assert captured.out == ""
-
-
-def test_sweep_with_a_propagator_that_is_not_unitary_exits_2(toy_workspace, capsys, monkeypatch):
-    _, config_path = toy_workspace
-    propagator = harness.sequence_propagator
-    monkeypatch.setattr(harness, "sequence_propagator", lambda *args: 1.001 * propagator(*args))
-    assert main(["sweep", "--config", str(config_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "NoiseRealization(" in err and "not unitary" in err
-
-
-def test_simulate_unknown_scheme_exits_2_before_any_build(tmp_path, capsys):
-    cfg = toy_config(tmp_path / "out")
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg.to_dict()))
-    assert main(["simulate", "--config", str(path), "--scheme", "xy:90:10"]) == 2
-    assert "'xy:90:10'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.fixture(scope="module")
 def cached_gates_copy(toy_workspace, tmp_path_factory):
     """Factory: a copy of the toy gate cache under a one-iteration config,
@@ -284,17 +202,17 @@ def cached_gates_copy(toy_workspace, tmp_path_factory):
     return make
 
 
-def _assert_rejected(capsys, command, path, words):
-    """main exits 2 on the config at path with empty stdout, one stderr line
-    that starts with "error:" and holds every word, and every file beside the
-    config unchanged."""
-    before = _files(path.parent)
-    assert main([*command, "--config", str(path)]) == 2
+def _assert_rejected(capsys, argv, root, words):
+    """main exits 2 on argv with empty stdout, one stderr line that starts
+    with "error:" and holds every word, and every file under root unchanged.
+    Every input the CLI must reject goes through this one check."""
+    before = _files(root)
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error:") and all(word in line for word in words), line
-    assert _files(path.parent) == before
+    assert _files(root) == before
 
 
 def _files(root):
@@ -305,7 +223,7 @@ def _files(root):
 @pytest.mark.filterwarnings("error")
 def test_missing_config_exits_2(tmp_path, capsys):
     path = tmp_path / "config.json"
-    _assert_rejected(capsys, ["sweep"], path, [str(path)])
+    _assert_rejected(capsys, ["sweep", "--config", str(path)], tmp_path, [str(path)])
 
 
 @pytest.mark.filterwarnings("error")
@@ -313,14 +231,14 @@ def test_missing_config_exits_2(tmp_path, capsys):
 def test_an_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, content):
     path = tmp_path / "config.json"
     path.write_bytes(content)
-    _assert_rejected(capsys, ["sweep"], path, [str(path)])
+    _assert_rejected(capsys, ["sweep", "--config", str(path)], tmp_path, [str(path)])
 
 
 @pytest.mark.filterwarnings("error")
 def test_a_config_nested_too_deeply_exits_2_naming_the_file(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_bytes(b'{"schemes": ' + b"[" * 100000 + b"]" * 100000 + b"}")
-    _assert_rejected(capsys, ["sweep"], path, [str(path)])
+    _assert_rejected(capsys, ["sweep", "--config", str(path)], tmp_path, [str(path)])
 
 
 # id: (command, workspace, change, words). The workspace is "toy" (the toy
@@ -352,10 +270,22 @@ REJECTED_CONFIGS = {
     "optimize-dd-pulse-above-omega_max": (["optimize"], "toy", {"dt": 1e-6}, ["'dt'"]),
     "optimize-max_iterations": (["optimize"], "toy", {"max_iterations": -3}, ["'max_iterations'"]),
     "optimize-seed": (["optimize"], "toy", {"seed": -1}, ["'seed'"]),
+    "simulate-unknown-scheme": (["simulate", "--scheme", "xy:90:10"], "toy", {}, ["'xy:90:10'"]),
     # On a cache hit nothing is optimized, so the config check alone stops these.
     **{
         f"optimize-cached-{key}": (["optimize"], "cache", {key: value}, [repr(key)])
         for key, value in [("fidelity_goal", 1.5), ("amplitude_fraction", 2.0), ("marked", 7)]
+    },
+    # A cached pulse built for another dt, segment count or omega_max is
+    # refused, not rebuilt over.
+    **{
+        f"simulate-cached-pulses-for-another-{key}": (
+            ["simulate", "--scheme", "none"],
+            "cache",
+            {key: value},
+            ["none__uw__seed11.txt", "move it away"],
+        )
+        for key, value in [("dt", 5.0e-6), ("n_segments_per_gate", 80), ("omega_max", 2 * math.pi * 2e5)]
     },
     # Each value passes alone, but a gate's segments may rotate by more than
     # UNITARITY_TOL / eps = 4.5e5 rad in all: the bound is infinite for the
@@ -404,35 +334,77 @@ def test_a_rejected_config_exits_2(request, tmp_path, capsys, command, workspace
     elif workspace == "defaults":
         config = {"output_dir": str(tmp_path / "out")}
     path.write_text(json.dumps(config | change))
-    _assert_rejected(capsys, command, path, words)
+    _assert_rejected(capsys, [*command, "--config", str(path)], path.parent, words)
 
 
-@pytest.mark.parametrize("value", ["1e300", "nan", "inf"])
-def test_simulate_rejects_cached_pulse_with_bad_amplitude(cached_gates_copy, capsys, value):
+def _write(data):
+    return lambda path: path.write_bytes(data)
+
+
+def _save(rho):
+    return lambda path: save_state(path, rho)
+
+
+# id: (write, options, words). write(path) makes the state file that
+# `discord --state path *options` reads; the stderr line must hold every
+# word, with {path} standing for the file.
+REJECTED_STATES = {
+    "16-entries": (_write(b"1 2 3\n"), [], ["16 entries", "{path}"]),
+    "unparsable": (_write(b"1 2 3 x\n"), [], ["{path}"]),
+    "undecodable": (_write(b"\xff\xfe1 0 0 0\n"), [], ["{path}"]),
+    "trace-2": (_save(np.diag([2.0, 0.0, 0.0, 0.0])), [], ["trace", "{path}"]),
+    "missing": (lambda path: None, [], ["[Errno 2]", "{path}"]),
+    "directory": (Path.mkdir, [], ["[Errno 21]", "{path}"]),
+    # discord.quantum_discord holds the epsilon rule. argparse reads
+    # "--epsilon -1e-3" as a missing value (exit 1), so that row uses "=".
+    **{f"epsilon-{e}": (_save(MIXED), ["--epsilon", e], ["epsilon"]) for e in ["1.5", "0", "-1", "nan", "inf"]},
+    "epsilon=-1e-3": (_save(MIXED), ["--epsilon=-1e-3"], ["epsilon"]),
+    # D ln2 / epsilon^2 with D = 1: epsilon^2 underflows to 0 at 1e-300, and
+    # to a subnormal that overflows the quotient at 1e-160.
+    **{f"epsilon-{e}": (_save(BELL), ["--epsilon", e], ["epsilon"]) for e in ["1e-300", "1e-160"]},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("write, options, words", REJECTED_STATES.values(), ids=list(REJECTED_STATES))
+def test_a_rejected_state_exits_2(tmp_path, capsys, write, options, words):
+    path = tmp_path / "state.txt"
+    write(path)
+    words = [word.format(path=path) for word in words]
+    _assert_rejected(capsys, ["discord", "--state", str(path), *options], tmp_path, words)
+
+
+# id: (column, token, words). The token replaces that column of a row of the
+# cached none/U_W pulse; simulate must refuse the file, naming it and every word.
+REJECTED_PULSE_EDITS = {
+    **{f"amplitude-{value}": (1, value, []) for value in ["1e300", "nan", "inf"]},
+    "unprotected-frozen-segment": (3, "1", ["'none'"]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("column, token, words", REJECTED_PULSE_EDITS.values(), ids=list(REJECTED_PULSE_EDITS))
+def test_a_rejected_cached_pulse_exits_2(cached_gates_copy, capsys, column, token, words):
     config_path, pulse_path = cached_gates_copy()
-    lines = pulse_path.read_text().splitlines()
-    index, ox, oy, frozen = lines[5].split()
-    lines[5] = f"{index} {value} {oy} {frozen}"
-    pulse_path.write_text("\n".join(lines) + "\n")
-    assert main(["simulate", "--config", str(config_path), "--scheme", "none"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and str(pulse_path) in captured.err
-    assert captured.out == ""
+    pulse_path.write_text(_edit_lines(pulse_path.read_text().splitlines(), [(5, column, token)]))
+    argv = ["simulate", "--config", str(config_path), "--scheme", "none"]
+    _assert_rejected(capsys, argv, config_path.parent, [str(pulse_path), *words])
 
 
-@pytest.mark.parametrize("change", [{"dt": 5.0e-6}, {"n_segments_per_gate": 80}, {"omega_max": 2 * math.pi * 2e5}])
-def test_simulate_rejects_cached_pulses_built_for_another_config(cached_gates_copy, capsys, change):
-    config_path, pulse_path = cached_gates_copy()
-    config = ExperimentConfig.from_json(config_path)
-    config_path.write_text(json.dumps(dataclasses.replace(config, **change).to_dict()))
-    pulses = {p.name: p.read_bytes() for p in pulse_path.parent.iterdir()}
-    assert main(["simulate", "--config", str(config_path), "--scheme", "none"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and str(pulse_path) in captured.err
-    assert captured.out == ""
-    # nothing was rebuilt or written
-    assert {p.name: p.read_bytes() for p in pulse_path.parent.iterdir()} == pulses
-    assert sorted(p.name for p in config_path.parent.iterdir()) == ["config.json", "pulses"]
+@pytest.mark.filterwarnings("error")
+def test_sweep_with_a_bad_thread_count_exits_2(cached_gates_copy, capsys, monkeypatch):
+    config_path, _ = cached_gates_copy()
+    monkeypatch.setenv("DDGRAPE_THREADS", "-1")
+    _assert_rejected(capsys, ["sweep", "--config", str(config_path)], config_path.parent, ["DDGRAPE_THREADS"])
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_with_a_propagator_that_is_not_unitary_exits_2(cached_gates_copy, capsys, monkeypatch):
+    config_path, _ = cached_gates_copy()
+    propagator = harness.sequence_propagator
+    monkeypatch.setattr(harness, "sequence_propagator", lambda *args: 1.001 * propagator(*args))
+    argv = ["sweep", "--config", str(config_path)]
+    _assert_rejected(capsys, argv, config_path.parent, ["NoiseRealization(", "not unitary"])
 
 
 def test_gates_csv_flags_every_gate_of_a_scheme_whose_lower_fidelity_misses_the_goal(toy_gates, cached_gates_copy):
@@ -463,26 +435,6 @@ def test_gates_csv_flags_a_scheme_with_a_nan_fidelity(cached_gates_copy, monkeyp
     assert main(["optimize", "--config", str(config_path), "--quiet"]) == 0
     rows = [line.split(",") for line in (config_path.parent / "gates.csv").read_text().splitlines()[1:]]
     assert [(t, w) for _, t, _, w in rows] == [("uw", "1"), ("ud", "1")] * 2
-
-
-def test_sweep_with_a_bad_thread_count_exits_2(toy_workspace, capsys, monkeypatch):
-    _, config_path = toy_workspace
-    monkeypatch.setenv("DDGRAPE_THREADS", "-1")
-    assert main(["sweep", "--config", str(config_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "DDGRAPE_THREADS" in err
-
-
-def test_simulate_rejects_unprotected_cached_pulse_with_a_frozen_segment(cached_gates_copy, capsys):
-    config_path, pulse_path = cached_gates_copy()
-    lines = pulse_path.read_text().splitlines()
-    index, ox, oy, _ = lines[5].split()
-    lines[5] = f"{index} {ox} {oy} 1"
-    pulse_path.write_text("\n".join(lines) + "\n")
-    assert main(["simulate", "--config", str(config_path), "--scheme", "none"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and str(pulse_path) in captured.err
-    assert "'none'" in captured.err
 
 
 # ---------------------------------------------------------------------------
