@@ -9,7 +9,6 @@ noise ensembles.
 from ddgrape.core import (
     partial_trace,
     spin_operator,
-    unitary_exp,
     von_neumann_entropy,
 )
 from ddgrape.nmr import (

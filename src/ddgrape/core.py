@@ -62,14 +62,6 @@ def is_unitary(u: np.ndarray) -> bool:
     return bool(unitarity_error(u) <= UNITARITY_TOL)
 
 
-def unitary_exp(generator: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(-i * scale * generator) for one Hermitian generator, through
-    `batched_unitary_exp`."""
-    if not is_hermitian(generator):
-        raise InvalidStateError("generator is not Hermitian within 1e-12")
-    return batched_unitary_exp(generator[None], scale)[0]
-
-
 # Scaling and squaring of a Taylor polynomial (Moler & Van Loan, SIAM Rev.
 # 45, 3, 2003). Each matrix is scaled by 2^-s to a 1-norm <= TAYLOR_THETA,
 # where the degree-14 truncation error is below THETA^15 / 15! ~ 2e-17.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ddgrape.core import ID4, collective_operator, global_phase_distance, unitary_exp
+from ddgrape.core import ID2, ID4, SIGMA_X, SIGMA_Y, global_phase_distance
 from ddgrape.nmr import PulseSequence, within_omega_max
 
 
@@ -86,9 +86,12 @@ def place_dd(n_segments: int, scheme: DDScheme) -> DDPlacement:
 
 
 def ideal_dd_propagator(flip_deg: float, phase: str) -> np.ndarray:
-    """exp(-i beta (I1a + I2a)): collective rotation of both spins."""
-    beta = math.radians(flip_deg)
-    return unitary_exp(collective_operator(phase), beta)
+    """exp(-i beta (I1a + I2a)), the collective rotation of both spins about
+    a = x or y, as r (x) r with r = cos(beta/2) 1 - i sin(beta/2) sigma_a:
+    exact, because the two spins' terms commute."""
+    half = math.radians(flip_deg) / 2.0
+    r = math.cos(half) * ID2 - 1j * math.sin(half) * {"x": SIGMA_X, "y": SIGMA_Y}[phase]
+    return np.kron(r, r)
 
 
 def freeze_into(pulse: PulseSequence, placement: DDPlacement) -> PulseSequence:

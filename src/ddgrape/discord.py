@@ -47,17 +47,6 @@ class DiscordResult:
     scaled_discord: float | None = None
 
 
-def _bloch_ket(theta: float, phi: float) -> np.ndarray:
-    return np.array([math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)], dtype=complex)
-
-
-def projectors(basis: MeasurementBasis):
-    """Rank-1 projectors onto the +/- n-hat spin-coherent states."""
-    up = _bloch_ket(basis.theta, basis.phi)
-    down = _bloch_ket(math.pi - basis.theta, basis.phi + math.pi)
-    return np.outer(up, up.conj()), np.outer(down, down.conj())
-
-
 def mutual_information(rho: np.ndarray) -> float:
     """H(S) + H(A) - H(S,A) in bits."""
     return (
@@ -65,19 +54,6 @@ def mutual_information(rho: np.ndarray) -> float:
         + von_neumann_entropy(partial_trace(rho, "A"))
         - von_neumann_entropy(rho)
     )
-
-
-def conditional_entropy(rho: np.ndarray, basis: MeasurementBasis) -> float:
-    """sum_a p_a H(rho_{S|a}) for a projective measurement on qubit A."""
-    total = 0.0
-    for proj in projectors(basis):
-        op = np.kron(np.eye(2, dtype=complex), proj)
-        post = op @ rho @ op
-        p = np.trace(post).real
-        if p < 1e-12:
-            continue
-        total += p * von_neumann_entropy(partial_trace(post, "S") / p)
-    return total
 
 
 def _measurement_blocks(rho: np.ndarray) -> np.ndarray:

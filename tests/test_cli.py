@@ -353,6 +353,9 @@ REJECTED_STATES = {
     "unparsable": (_write(b"1 2 3 x\n"), [], ["{path}"]),
     "undecodable": (_write(b"\xff\xfe1 0 0 0\n"), [], ["{path}"]),
     "trace-2": (_save(np.diag([2.0, 0.0, 0.0, 0.0])), [], ["trace", "{path}"]),
+    "not-hermitian": (_save(np.diag([1.0, 0.0, 0.0, 0.0]) + np.eye(4, k=1) * 0.1), [], ["Hermitian", "{path}"]),
+    "negative-eigenvalue": (_save(np.diag([1.5, -0.5, 0.0, 0.0])), [], ["eigenvalue", "{path}"]),
+    "non-finite": (_save(np.diag([math.nan, 1.0, 0.0, 0.0])), [], ["non-finite", "{path}"]),
     "missing": (lambda path: None, [], ["[Errno 2]", "{path}"]),
     "directory": (Path.mkdir, [], ["[Errno 21]", "{path}"]),
     # discord.quantum_discord holds the epsilon rule. argparse reads

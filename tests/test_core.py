@@ -8,15 +8,12 @@ from conftest import random_mixed_state, random_unitary
 from ddgrape.core import (
     ID4,
     InvalidStateError,
-    SIGMA_X,
     TAYLOR_THETA,
     batched_unitary_exp,
-    collective_operator,
     is_unitary,
     partial_trace,
     spin_operator,
     unitarity_error,
-    unitary_exp,
     von_neumann_entropy,
 )
 
@@ -34,58 +31,6 @@ def test_spin_operator_commutation():
 def test_spin_operator_rejects_bad_index():
     with pytest.raises(ValueError):
         spin_operator(3, "x")
-
-
-def test_unitary_exp_zero_time_is_identity():
-    h = spin_operator(1, "x") + 0.3 * spin_operator(2, "y")
-    assert np.allclose(unitary_exp(h, 0.0), ID4, atol=1e-14)
-
-
-def test_unitary_exp_collective_pi_x():
-    u = unitary_exp(collective_operator("x"), np.pi)
-    assert np.allclose(u, -np.kron(SIGMA_X, SIGMA_X), atol=1e-12)
-    out = u @ np.array([1, 0, 0, 0], dtype=complex)
-    assert np.allclose(out, [0, 0, 0, -1], atol=1e-12)
-
-
-def test_unitary_exp_matches_taylor_series():
-    # independent oracle: term-by-term Taylor series of exp(-i*s*H)
-    rng = np.random.default_rng(3)
-    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = (z + z.conj().T) / 2
-    s = 0.7
-    term = ID4.copy()
-    total = ID4.copy()
-    for k in range(1, 60):
-        term = term @ (-1j * s * h) / k
-        total = total + term
-    assert np.max(np.abs(unitary_exp(h, s) - total)) < 1e-12
-
-
-def test_unitary_exp_diagonal_generator():
-    theta = 0.83
-    u = unitary_exp(spin_operator(1, "z"), theta)
-    expected = np.diag(np.exp([-1j * theta / 2, -1j * theta / 2, 1j * theta / 2, 1j * theta / 2]))
-    assert np.allclose(u, expected, atol=1e-14)
-
-
-def test_unitary_exp_rejects_non_hermitian():
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 1] = 1.0
-    with pytest.raises(InvalidStateError):
-        unitary_exp(m, 1.0)
-
-
-def test_unitary_exp_inverse_and_composition():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = (z + z.conj().T) / 2
-        t1, t2 = rng.normal(), rng.normal()
-        assert np.max(np.abs(unitary_exp(h, t1) @ unitary_exp(h, -t1) - ID4)) < 1e-10
-        lhs = unitary_exp(h, t1) @ unitary_exp(h, t2)
-        assert np.max(np.abs(lhs - unitary_exp(h, t1 + t2))) < 1e-10
-        assert is_unitary(unitary_exp(h, t1))
 
 
 def _hermitian_stack(rng, d, norms):
@@ -120,7 +65,6 @@ def test_batched_unitary_exp_of_a_zero_generator_is_exactly_the_identity():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u = batched_unitary_exp(h, 2.0)
-        assert np.array_equal(unitary_exp(np.zeros((4, 4), dtype=complex), 2.0), ID4)
     assert np.array_equal(u[[0, 2]], [ID4, ID4])
     assert np.abs(u[1] - scipy.linalg.expm(-2j * h[1])).max() <= 1e-13
 

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unitary
-from ddgrape.core import ID4, SIGMA_X, global_phase_distance
+from ddgrape.core import ID4, SIGMA_X, collective_operator, global_phase_distance
 from ddgrape.dd import (
     DDPlacement,
     DDScheme,
@@ -49,6 +50,14 @@ def test_ideal_dd_propagator_pi_x():
     u = ideal_dd_propagator(180, "x")
     assert np.max(np.abs(u + np.kron(SIGMA_X, SIGMA_X))) < 1e-12
     assert abs((u @ np.array([1, 0, 0, 0]))[3] + 1) < 1e-12
+
+
+@pytest.mark.parametrize("phase", ["x", "y"])
+@pytest.mark.parametrize("flip_deg", [90, 180, 45, 270, -90, 123.4])
+def test_ideal_dd_propagator_is_the_collective_rotation(flip_deg, phase):
+    # the closed form r (x) r against the matrix exponential exp(-i beta F_a)
+    want = scipy.linalg.expm(-1j * math.radians(flip_deg) * collective_operator(phase))
+    assert np.max(np.abs(ideal_dd_propagator(flip_deg, phase) - want)) <= 1e-15
 
 
 def test_ideal_dd_propagator_composition():

@@ -11,11 +11,9 @@ from ddgrape.discord import (
     _conditional_entropy_bases,
     _measurement_blocks,
     brute_force_min_conditional_entropy,
-    conditional_entropy,
     load_state,
     min_conditional_entropy,
     mutual_information,
-    projectors,
     quantum_discord,
     save_state,
 )
@@ -34,26 +32,6 @@ def grover_post_oracle_state():
     return np.outer(psi, psi.conj())
 
 
-def test_projectors_computational_and_plus_bases():
-    p0, p1 = projectors(MeasurementBasis(0.0, 0.0))
-    assert np.allclose(p0, [[1, 0], [0, 0]], atol=1e-14)
-    assert np.allclose(p1, [[0, 0], [0, 1]], atol=1e-14)
-    p0, p1 = projectors(MeasurementBasis(math.pi / 2, 0.0))
-    plus = np.array([1, 1]) / math.sqrt(2)
-    assert np.allclose(p0, np.outer(plus, plus), atol=1e-14)
-
-
-def test_projectors_orthogonal_idempotent():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        basis = MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        p0, p1 = projectors(basis)
-        assert np.max(np.abs(p0 @ p1)) < 1e-12
-        assert np.max(np.abs(p0 @ p0 - p0)) < 1e-12
-        assert np.max(np.abs(p1 @ p1 - p1)) < 1e-12
-        assert np.max(np.abs(p0 + p1 - np.eye(2))) < 1e-12
-
-
 def test_mutual_information_examples():
     rng = np.random.default_rng(7)
     rho = np.kron(random_mixed_state(rng, 2, 2), random_mixed_state(rng, 2, 2))
@@ -65,28 +43,16 @@ def test_mutual_information_examples():
 def test_conditional_entropy_examples():
     rho00 = np.zeros((4, 4), dtype=complex)
     rho00[0, 0] = 1.0
-    assert conditional_entropy(rho00, MeasurementBasis(0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
+    assert _reference_at(rho00, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
     rng = np.random.default_rng(8)
     for _ in range(5):
-        basis = MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        assert conditional_entropy(bell_state(), basis) == pytest.approx(0.0, abs=1e-10)
-        assert conditional_entropy(np.eye(4, dtype=complex) / 4, basis) == pytest.approx(1.0, abs=1e-10)
+        theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+        assert _reference_at(bell_state(), theta, phi) == pytest.approx(0.0, abs=1e-10)
+        assert _reference_at(np.eye(4, dtype=complex) / 4, theta, phi) == pytest.approx(1.0, abs=1e-10)
 
 
 def _kernel(rho, thetas, phis):
     return _conditional_entropy_bases(_measurement_blocks(rho), _bloch_axes(thetas, phis))
-
-
-def test_vectorized_kernel_matches_scalar_conditional_entropy():
-    # dual route: the grid kernel must agree with the projector-by-projector path
-    rng = np.random.default_rng(9)
-    for _ in range(8):
-        rho = random_mixed_state(rng)
-        thetas = rng.uniform(0, math.pi, 5)
-        phis = rng.uniform(0, 2 * math.pi, 5)
-        fast = _kernel(rho, thetas, phis)
-        slow = [conditional_entropy(rho, MeasurementBasis(t, p)) for t, p in zip(thetas, phis)]
-        assert np.max(np.abs(fast - np.array(slow))) < 1e-10
 
 
 def test_min_conditional_entropy_not_above_theta_zero():
@@ -95,7 +61,7 @@ def test_min_conditional_entropy_not_above_theta_zero():
         rho = random_mixed_state(rng)
         h_min, _ = min_conditional_entropy(rho)
         assert h_min >= -1e-12
-        assert h_min <= conditional_entropy(rho, MeasurementBasis(0.0, 0.0)) + 1e-9
+        assert h_min <= _reference_at(rho, 0.0, 0.0) + 1e-9
 
 
 def test_discord_product_states_vanish():
@@ -186,8 +152,7 @@ def test_kernel_at_the_poles_and_with_a_zero_probability_outcome():
     phis = np.array([0.0, 0.0, 1.3, 4.0, 0.0, math.pi])
     for rho in states:
         fast = _kernel(rho, thetas, phis)
-        slow = [conditional_entropy(rho, MeasurementBasis(t, p)) for t, p in zip(thetas, phis)]
-        assert np.max(np.abs(fast - np.array(slow))) < 1e-12
+        assert np.max(np.abs(fast - _reference_conditional_entropy_bases(rho, thetas, phis))) < 1e-12
     # |00>: measuring z on A has an outcome of probability 0, and S is pure.
     assert np.all(np.abs(_kernel(states[0], thetas, phis)) < 1e-12)
 
@@ -195,14 +160,14 @@ def test_kernel_at_the_poles_and_with_a_zero_probability_outcome():
 # A test-only copy of the einsum kernel and the one-start-at-a-time zoom
 # that the closed-form kernel and the batched zoom replaced, the kernel
 # taking each outcome's entropy from eigvalsh rather than a closed form:
-# the oracle for the minimizer.
+# the oracle for the kernel, at any axis, and for the minimizer.
 
 
 def _reference_conditional_entropy_bases(rho, thetas, phis):
     half = thetas / 2.0
     kets = np.stack([np.cos(half), np.sin(half) * np.exp(1j * phis)], axis=1)  # (B, 2)
     r = rho.reshape(2, 2, 2, 2)  # (s, a, s', a')
-    m0 = np.einsum("Ba,saSA,BA->BsS", kets.conj(), r, kets, optimize=True)
+    m0 = np.einsum("Ba,saSA,BA->BsS", kets.conj(), r, kets)
     m = np.stack([m0, partial_trace(rho, "S")[None, :, :] - m0])  # both outcomes, (2, B, 2, 2)
     p = np.einsum("oBss->oB", m).real
     mask = p > 1e-12
@@ -210,6 +175,11 @@ def _reference_conditional_entropy_bases(rho, thetas, phis):
     lam = np.clip(np.linalg.eigvalsh(m / np.where(mask, p, 1.0)[..., None, None]), 0.0, None)
     h = -np.sum(lam * np.log2(np.where(lam > 0, lam, 1.0)), axis=-1)
     return np.where(mask, p * h, 0.0).sum(axis=0)
+
+
+def _reference_at(rho, theta, phi):
+    """The reference conditional entropy at one measurement axis."""
+    return _reference_conditional_entropy_bases(rho, np.array([theta]), np.array([phi]))[0]
 
 
 def _reference_grid_min(rho, thetas, phis):
@@ -298,16 +268,19 @@ def test_min_conditional_entropy_matches_the_reference_minimizer():
         want, _ = _reference_min_conditional_entropy(rho)
         assert abs(got - want) <= 1e-12
         # the reported basis attains the reported minimum
-        assert abs(conditional_entropy(rho, basis) - got) <= 1e-10
+        assert abs(_reference_at(rho, basis.theta, basis.phi) - got) <= 1e-10
 
 
 def test_kernel_matches_the_reference_kernel_on_the_coarse_grid():
-    thetas = np.linspace(0.0, math.pi, 61)
-    phis = np.linspace(0.0, 2.0 * math.pi, 121, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    # the coarse grid's axes and 40 random ones off the grid
+    rng = np.random.default_rng(9)
+    grid = np.linspace(0.0, math.pi, 61), np.linspace(0.0, 2.0 * math.pi, 121, endpoint=False)
+    tt, pp = np.meshgrid(*grid, indexing="ij")
+    thetas = np.concatenate([tt.ravel(), rng.uniform(0, math.pi, 40)])
+    phis = np.concatenate([pp.ravel(), rng.uniform(0, 2 * math.pi, 40)])
     for rho in _oracle_states()[::5]:
-        want = _reference_conditional_entropy_bases(rho, tt.ravel(), pp.ravel())
-        assert np.max(np.abs(_kernel(rho, tt.ravel(), pp.ravel()) - want)) <= 1e-12
+        want = _reference_conditional_entropy_bases(rho, thetas, phis)
+        assert np.max(np.abs(_kernel(rho, thetas, phis) - want)) <= 1e-12
 
 
 def test_brute_force_takes_the_first_grid_minimum():

@@ -3,10 +3,11 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_unitary
 from ddgrape import grape
-from ddgrape.core import ID4, collective_operator, spin_operator, unitary_exp
+from ddgrape.core import ID4, collective_operator, spin_operator
 from ddgrape.dd import DDScheme, freeze_into, place_dd
 from ddgrape.grape import (
     OptimizationConfig,
@@ -72,7 +73,7 @@ def test_robust_fidelity_symmetric_rf_pair_on_resonant_rotation():
     dt = 5.1e-6
     params = SystemParams(0, 0, 0)
     pulse = PulseSequence(np.array([0.5 * math.pi / dt]), np.array([0.0]), np.zeros(1, bool), dt, OMEGA_MAX)
-    target = TargetGate(unitary_exp(collective_operator("x"), 0.5 * math.pi))
+    target = TargetGate(scipy.linalg.expm(-1j * 0.5 * math.pi * collective_operator("x")))
     ens = NoiseEnsemble((NoiseRealization(rf_scale=0.95), NoiseRealization(rf_scale=1.05)))
     f1, f2 = (robust_fidelity(pulse, target, params, NoiseEnsemble((r,))).fidelity for r in ens.realizations)
     assert f1 == pytest.approx(f2, abs=1e-12)
@@ -170,7 +171,7 @@ def test_optimize_returns_immediately_when_target_met():
 
 def test_optimize_reaches_collective_pi_target():
     params = SystemParams(0, 0, 0)
-    target = TargetGate(unitary_exp(collective_operator("x"), math.pi))
+    target = TargetGate(scipy.linalg.expm(-1j * math.pi * collective_operator("x")))
     pulse = random_initial_pulse(50, 5.1e-6, OMEGA_MAX, 0.05, 1)
     cfg = OptimizationConfig(max_iterations=500, fidelity_goal=0.999)
     out, report, log = optimize(pulse, target, params, cfg)
@@ -185,7 +186,7 @@ def test_optimize_reaches_collective_pi_target():
 
 def test_optimize_determinism_bitwise(tmp_path):
     params = SystemParams(436, -436, 70)
-    target = TargetGate(unitary_exp(spin_operator(1, "z") + spin_operator(2, "z"), 0.4))
+    target = TargetGate(scipy.linalg.expm(-1j * 0.4 * (spin_operator(1, "z") + spin_operator(2, "z"))))
     cfg = OptimizationConfig(max_iterations=40, fidelity_goal=0.9999)
     files = []
     for run in range(2):
@@ -202,7 +203,7 @@ def test_optimize_preserves_frozen_segments_exactly():
     pulse = random_initial_pulse(40, 5.1e-6, OMEGA_MAX, 0.05, 13)
     placement = place_dd(40, DDScheme(90, ("x", "y"), 10))
     pulse = freeze_into(pulse, placement)
-    target = TargetGate(unitary_exp(collective_operator("y"), 0.5 * math.pi))
+    target = TargetGate(scipy.linalg.expm(-1j * 0.5 * math.pi * collective_operator("y")))
     cfg = OptimizationConfig(max_iterations=60, fidelity_goal=0.9999)
     out, _, _ = optimize(pulse, target, params, cfg)
     assert np.array_equal(out.frozen, pulse.frozen)
@@ -216,7 +217,7 @@ def test_optimize_stops_once_a_window_past_the_goal_gains_too_little():
     # Goal crossed at iteration 5; the window 5-30 still gains 4e-3, the
     # window 30-55 only 3e-5, so the run stops at 55 of its 200 iterations.
     ensemble = NoiseEnsemble(tuple(NoiseRealization(rf_scale=s) for s in (0.95, 1.0, 1.05)))
-    target = TargetGate(unitary_exp(collective_operator("x"), math.pi))
+    target = TargetGate(scipy.linalg.expm(-1j * math.pi * collective_operator("x")))
     pulse = random_initial_pulse(50, 5.1e-6, OMEGA_MAX, 0.05, 1)
     cfg = OptimizationConfig(max_iterations=200, fidelity_goal=0.99, rfi_ensemble=ensemble)
     _, report, log = optimize(pulse, target, SystemParams(0, 0, 0), cfg)
