@@ -55,6 +55,18 @@ def _kernel(rho, thetas, phis):
     return _conditional_entropy_bases(_measurement_blocks(rho), _bloch_axes(thetas, phis))
 
 
+def test_vectorized_kernel_matches_scalar_conditional_entropy():
+    # dual route: the grid kernel must agree with the reference taken one axis at a time
+    rng = np.random.default_rng(9)
+    for _ in range(8):
+        rho = random_mixed_state(rng)
+        thetas = rng.uniform(0, math.pi, 5)
+        phis = rng.uniform(0, 2 * math.pi, 5)
+        fast = _kernel(rho, thetas, phis)
+        slow = [_reference_at(rho, t, p) for t, p in zip(thetas, phis)]
+        assert np.max(np.abs(fast - np.array(slow))) < 1e-10
+
+
 def test_min_conditional_entropy_not_above_theta_zero():
     rng = np.random.default_rng(10)
     for _ in range(5):
@@ -272,15 +284,12 @@ def test_min_conditional_entropy_matches_the_reference_minimizer():
 
 
 def test_kernel_matches_the_reference_kernel_on_the_coarse_grid():
-    # the coarse grid's axes and 40 random ones off the grid
-    rng = np.random.default_rng(9)
-    grid = np.linspace(0.0, math.pi, 61), np.linspace(0.0, 2.0 * math.pi, 121, endpoint=False)
-    tt, pp = np.meshgrid(*grid, indexing="ij")
-    thetas = np.concatenate([tt.ravel(), rng.uniform(0, math.pi, 40)])
-    phis = np.concatenate([pp.ravel(), rng.uniform(0, 2 * math.pi, 40)])
+    thetas = np.linspace(0.0, math.pi, 61)
+    phis = np.linspace(0.0, 2.0 * math.pi, 121, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     for rho in _oracle_states()[::5]:
-        want = _reference_conditional_entropy_bases(rho, thetas, phis)
-        assert np.max(np.abs(_kernel(rho, thetas, phis) - want)) <= 1e-12
+        want = _reference_conditional_entropy_bases(rho, tt.ravel(), pp.ravel())
+        assert np.max(np.abs(_kernel(rho, tt.ravel(), pp.ravel()) - want)) <= 1e-12
 
 
 def test_brute_force_takes_the_first_grid_minimum():

@@ -104,6 +104,20 @@ def test_sequence_propagator_identity_and_commuting():
     assert np.max(np.abs(sequence_propagator(two, params) - sequence_propagator(one, params))) < 1e-10
 
 
+def test_sequence_propagator_against_bruteforce_product():
+    rng = np.random.default_rng(17)
+    params = SystemParams(436, -436, 7)
+    pulse = PulseSequence(
+        rng.uniform(-1e5, 1e5, 20), rng.uniform(-1e5, 1e5, 20), np.zeros(20, bool), 5.1e-6, 2e5
+    )
+    # independent left-multiplication loop over single-matrix exponentials
+    expected = ID4.copy()
+    for ox, oy in zip(pulse.omega_x, pulse.omega_y):
+        h = system_hamiltonian(params) + ox * FX + oy * FY
+        expected = scipy.linalg.expm(-1j * h * pulse.dt) @ expected
+    assert np.max(np.abs(sequence_propagator(pulse, params) - expected)) < 1e-10
+
+
 def _dd_pulse_with_idle_segments(k=400, seed=5):
     """Random shaped segments, frozen xy:90:100 DD pulses along +-x and +-y,
     and seven free segments with zero amplitude."""
@@ -119,23 +133,13 @@ def _dd_pulse_with_idle_segments(k=400, seed=5):
 
 
 def test_sequence_propagator_matches_expm_left_fold():
-    rng = np.random.default_rng(17)
-    random_20 = PulseSequence(
-        rng.uniform(-1e5, 1e5, 20), rng.uniform(-1e5, 1e5, 20), np.zeros(20, bool), 5.1e-6, 2e5
-    )
-    cases = [
-        (
-            _dd_pulse_with_idle_segments(),
-            SystemParams(436.0, -436.0, 70.0),
-            NoiseRealization(rf_scale=1.04 * 0.97, offset_shift=-6.5, phase_offset=0.31),
-        ),
-        (random_20, SystemParams(436, -436, 7), NoiseRealization()),
-    ]
-    for pulse, params, noise in cases:
-        expected = ID4.copy()
-        for h in segment_hamiltonians(pulse, params, noise):
-            expected = scipy.linalg.expm(-1j * h * pulse.dt) @ expected
-        assert np.max(np.abs(sequence_propagator(pulse, params, noise) - expected)) <= 1e-13
+    params = SystemParams(436.0, -436.0, 70.0)
+    pulse = _dd_pulse_with_idle_segments()
+    noise = NoiseRealization(rf_scale=1.04 * 0.97, offset_shift=-6.5, phase_offset=0.31)
+    expected = ID4.copy()
+    for h in segment_hamiltonians(pulse, params, noise):
+        expected = scipy.linalg.expm(-1j * h * pulse.dt) @ expected
+    assert np.max(np.abs(sequence_propagator(pulse, params, noise) - expected)) <= 1e-13
 
 
 def test_rotation_bound_bounds_every_segment_hamiltonian():
