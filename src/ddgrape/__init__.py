@@ -30,6 +30,6 @@ from ddgrape.grover import (
     oracle_unitary,
     uniform_superposition,
 )
-from ddgrape.discord import mutual_information, quantum_discord
+from ddgrape.discord import quantum_discord
 
 __version__ = "0.1.0"

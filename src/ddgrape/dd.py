@@ -43,17 +43,17 @@ class DDScheme:
 
 @dataclass(frozen=True)
 class DDPlacement:
-    """Resolved pulse positions: 0-based segment indices with per-index props."""
+    """Resolved pulse positions: 0-based segment indices, one flip (deg), a phase per index."""
 
     indices: tuple[int, ...]
-    flips_deg: tuple[float, ...]
+    flip_deg: float
     phases: tuple[str, ...]
 
     def __post_init__(self):
         if list(self.indices) != sorted(set(self.indices)):
             raise ValueError("placement indices must be strictly increasing")
-        if not (len(self.indices) == len(self.flips_deg) == len(self.phases)):
-            raise ValueError("placement property lists must align with indices")
+        if len(self.indices) != len(self.phases):
+            raise ValueError("placement phases must align with indices")
 
 
 def complete_blocks(n_segments: int, scheme: DDScheme) -> int:
@@ -81,8 +81,7 @@ def place_dd(n_segments: int, scheme: DDScheme) -> DDPlacement:
     n_blocks = complete_blocks(n_segments, scheme)
     indices = tuple(b * scheme.spacing + scheme.spacing // 2 for b in range(n_blocks))
     phases = tuple(scheme.phases[b % len(scheme.phases)] for b in range(n_blocks))
-    flips = tuple(scheme.flip_deg for _ in range(n_blocks))
-    return DDPlacement(indices, flips, phases)
+    return DDPlacement(indices, scheme.flip_deg, phases)
 
 
 def ideal_dd_propagator(flip_deg: float, phase: str) -> np.ndarray:
@@ -101,10 +100,10 @@ def freeze_into(pulse: PulseSequence, placement: DDPlacement) -> PulseSequence:
     beta/dt along its phase axis, exempt from optimization.
     """
     out = pulse.copy()
-    for idx, flip, phase in zip(placement.indices, placement.flips_deg, placement.phases):
+    amp = hard_pulse_amplitude(placement.flip_deg, out.dt, out.omega_max)
+    for idx, phase in zip(placement.indices, placement.phases):
         if not 0 <= idx < out.n_segments:
             raise ValueError(f"placement index {idx} out of bounds")
-        amp = hard_pulse_amplitude(flip, out.dt, out.omega_max)
         out.omega_x[idx] = amp if phase == "x" else 0.0
         out.omega_y[idx] = amp if phase == "y" else 0.0
         out.frozen[idx] = True
@@ -123,7 +122,7 @@ def toggling_check(unitaries, placement: DDPlacement) -> float:
     m = len(placement.indices)
     if len(unitaries) != m + 1:
         raise ValueError(f"expected {m + 1} unitaries for {m} DD pulses, got {len(unitaries)}")
-    pulses = [ideal_dd_propagator(f, p) for f, p in zip(placement.flips_deg, placement.phases)]
+    pulses = [ideal_dd_propagator(placement.flip_deg, p) for p in placement.phases]
 
     interleaved = np.array(unitaries[0], dtype=complex)
     for j in range(m):

@@ -30,7 +30,7 @@ import numpy as np
 
 from ddgrape.core import UNITARITY_TOL
 from ddgrape.dd import DDScheme, complete_blocks, freeze_into, hard_pulse_amplitude, place_dd
-from ddgrape.discord import quantum_discord
+from ddgrape.discord import check_epsilon, quantum_discord
 from ddgrape.grape import (
     FidelityReport,
     OptimizationConfig,
@@ -131,7 +131,7 @@ class ExperimentConfig:
         self._build(("flip_scales", "phase_offsets"), ExperimentConfig.error_ensembles)
         self._build(("max_iterations", "fidelity_goal", "free_amplitude_bound"), ExperimentConfig.optimization)
         self._build(("marked",), ExperimentConfig.grover_spec)
-        self._build(("epsilon",), lambda c: pseudopure_state(c.epsilon))
+        self._build(("epsilon",), lambda c: pseudopure_state(check_epsilon(c.epsilon)))
         # Two descriptors of one scheme would give it two sweep rows and two cached builds.
         seen = {}
         for s in self.schemes:

@@ -13,7 +13,7 @@ import numpy as np
 from conftest import CRITERION_LINES, random_mixed_state, random_pure_state, random_unitary, toy_config
 from ddgrape.cli import main as cli_main
 from ddgrape.core import partial_trace, von_neumann_entropy
-from ddgrape.dd import DDPlacement, DDScheme, toggling_check
+from ddgrape.dd import DDScheme, place_dd, toggling_check
 from ddgrape.discord import brute_force_min_conditional_entropy, min_conditional_entropy, quantum_discord
 from ddgrape.grape import TargetGate, fidelity_gradient, random_initial_pulse, robust_fidelity
 from ddgrape.grover import GroverSpec, ideal_trajectory, marked_probability
@@ -147,11 +147,7 @@ def test_criterion_5_toggling_identity():
         scheme = DDScheme.parse(scheme_str)
         for m in (1, 4, 8):
             unitaries = [random_unitary(rng) for _ in range(m + 1)]
-            placement = DDPlacement(
-                indices=tuple(range(m)),
-                flips_deg=tuple(scheme.flip_deg for _ in range(m)),
-                phases=tuple(scheme.phases[j % len(scheme.phases)] for j in range(m)),
-            )
+            placement = place_dd(m, DDScheme(scheme.flip_deg, scheme.phases, 1))
             worst = max(worst, toggling_check(unitaries, placement))
     elapsed = time.time() - t0
     ok = worst < 1e-10 and elapsed < 1.0

@@ -267,6 +267,8 @@ REJECTED_CONFIGS = {
     "nan-flip-scale": (["sweep"], "toy", {"flip_scales": [math.nan]}, ["'flip_scales'"]),
     "simulate-epsilon": (["simulate", "--scheme", "none"], "toy", {"epsilon": 1.5}, ["'epsilon'"]),
     "simulate-epsilon-0": (["simulate", "--scheme", "none"], "toy", {"epsilon": 0}, ["'epsilon'"]),
+    # Below 1e-6 the scaled discord D ln2 / epsilon^2 is mostly rounding.
+    "simulate-epsilon-1e-7": (["simulate", "--scheme", "none"], "toy", {"epsilon": 1e-7}, ["'epsilon'", "1e-6"]),
     "optimize-dd-pulse-above-omega_max": (["optimize"], "toy", {"dt": 1e-6}, ["'dt'"]),
     "optimize-max_iterations": (["optimize"], "toy", {"max_iterations": -3}, ["'max_iterations'"]),
     "optimize-seed": (["optimize"], "toy", {"seed": -1}, ["'seed'"]),
@@ -362,8 +364,10 @@ REJECTED_STATES = {
     # "--epsilon -1e-3" as a missing value (exit 1), so that row uses "=".
     **{f"epsilon-{e}": (_save(MIXED), ["--epsilon", e], ["epsilon"]) for e in ["1.5", "0", "-1", "nan", "inf"]},
     "epsilon=-1e-3": (_save(MIXED), ["--epsilon=-1e-3"], ["epsilon"]),
-    # D ln2 / epsilon^2 with D = 1: epsilon^2 underflows to 0 at 1e-300, and
-    # to a subnormal that overflows the quotient at 1e-160.
+    # D ln2 / epsilon^2 with D = 1 is mostly rounding at 1e-7; without the
+    # 1e-6 floor, epsilon^2 would underflow to 0 at 1e-300, and to a
+    # subnormal that overflows the quotient at 1e-160.
+    "epsilon-1e-7": (_save(BELL), ["--epsilon", "1e-7"], ["epsilon", "1e-6"]),
     **{f"epsilon-{e}": (_save(BELL), ["--epsilon", e], ["epsilon"]) for e in ["1e-300", "1e-160"]},
 }
 

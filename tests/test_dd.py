@@ -86,7 +86,7 @@ def test_freeze_into_amplitudes_and_idempotence():
 
 def test_freeze_into_empty_placement_is_noop():
     pulse = PulseSequence.zeros(8, 5.1e-6, 1e6)
-    out = freeze_into(pulse, DDPlacement((), (), ()))
+    out = freeze_into(pulse, DDPlacement((), 90.0, ()))
     assert np.array_equal(out.omega_x, pulse.omega_x)
     assert not out.frozen.any()
 
@@ -119,13 +119,13 @@ def test_fuzz_hard_pulse_amplitude(flip, dt, omega_max):
 
 def test_toggling_check_no_pulses():
     rng = np.random.default_rng(2)
-    placement = DDPlacement((), (), ())
+    placement = DDPlacement((), 90.0, ())
     assert toggling_check([random_unitary(rng)], placement) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_toggling_check_xy4():
     rng = np.random.default_rng(9)
-    placement = DDPlacement((0, 1, 2, 3), (180,) * 4, ("x", "y", "x", "y"))
+    placement = DDPlacement((0, 1, 2, 3), 180, ("x", "y", "x", "y"))
     us = [random_unitary(rng) for _ in range(5)]
     assert toggling_check(us, placement) < 1e-10
 
@@ -133,7 +133,7 @@ def test_toggling_check_xy4():
 def test_toggling_check_single_pi_pulse_needs_net_rotation():
     # one pulse is not a cyclic scheme; agreement relies on the net-rotation prefix
     rng = np.random.default_rng(10)
-    placement = DDPlacement((0,), (180,), ("x",))
+    placement = DDPlacement((0,), 180, ("x",))
     us = [random_unitary(rng) for _ in range(2)]
     assert toggling_check(us, placement) < 1e-10
 
@@ -141,9 +141,9 @@ def test_toggling_check_single_pi_pulse_needs_net_rotation():
 def test_toggling_identity_random_schemes():
     rng = np.random.default_rng(12)
     for m in range(1, 9):
-        flips = tuple(rng.choice([90.0, 180.0]) for _ in range(m))
+        flip = float(rng.choice([90.0, 180.0]))
         phases = tuple(rng.choice(["x", "y"]) for _ in range(m))
-        placement = DDPlacement(tuple(range(m)), flips, phases)
+        placement = DDPlacement(tuple(range(m)), flip, phases)
         us = [random_unitary(rng) for _ in range(m + 1)]
         assert toggling_check(us, placement) < 1e-10
 

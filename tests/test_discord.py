@@ -6,14 +6,15 @@ import pytest
 from conftest import random_mixed_state, random_pure_state, random_unitary
 from ddgrape.core import SIGMA_X, SIGMA_Y, SIGMA_Z, von_neumann_entropy, partial_trace
 from ddgrape.discord import (
+    LN2,
     MeasurementBasis,
     _bloch_axes,
     _conditional_entropy_bases,
     _measurement_blocks,
     brute_force_min_conditional_entropy,
+    check_epsilon,
     load_state,
     min_conditional_entropy,
-    mutual_information,
     quantum_discord,
     save_state,
 )
@@ -35,9 +36,9 @@ def grover_post_oracle_state():
 def test_mutual_information_examples():
     rng = np.random.default_rng(7)
     rho = np.kron(random_mixed_state(rng, 2, 2), random_mixed_state(rng, 2, 2))
-    assert mutual_information(rho) == pytest.approx(0.0, abs=1e-10)
-    assert mutual_information(bell_state()) == pytest.approx(2.0, abs=1e-10)
-    assert mutual_information(np.eye(4, dtype=complex) / 4) == pytest.approx(0.0, abs=1e-12)
+    assert quantum_discord(rho).mutual_information == pytest.approx(0.0, abs=1e-10)
+    assert quantum_discord(bell_state()).mutual_information == pytest.approx(2.0, abs=1e-10)
+    assert quantum_discord(np.eye(4, dtype=complex) / 4).mutual_information == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conditional_entropy_examples():
@@ -139,10 +140,17 @@ def test_an_epsilon_outside_the_unit_interval_is_an_error_naming_epsilon(eps):
     "rho, eps", [(pseudopure_state(1e-170), 1e-170), (bell_state(), 1e-160)], ids=["pseudopure-1e-170", "bell-1e-160"]
 )
 def test_a_scaled_discord_beyond_float64_is_an_error_naming_epsilon(rho, eps):
-    # epsilon^2 underflows to 0 at 1e-170 (0 / 0 here, the discord being 0), and
-    # to a subnormal that overflows D ln2 / epsilon^2 at 1e-160.
+    # Both are below the 1e-6 floor. Without it, epsilon^2 would underflow to 0
+    # at 1e-170 (0 / 0 here, the discord being 0), and to a subnormal that
+    # overflows D ln2 / epsilon^2 at 1e-160.
     with pytest.raises(ValueError, match="epsilon"):
         quantum_discord(rho, epsilon=eps)
+
+
+def test_the_epsilon_floor_is_1e_6():
+    assert quantum_discord(bell_state(), epsilon=1e-6).scaled_discord == pytest.approx(LN2 * 1e12, rel=1e-12)
+    with pytest.raises(ValueError, match=r"epsilon must be in \[1e-6, 1\]"):
+        check_epsilon(math.nextafter(1e-6, 0.0))
 
 
 def test_state_file_roundtrip(tmp_path):
