@@ -132,6 +132,15 @@ def _grid_values(blocks: np.ndarray, n_theta: int, n_phi: int):
     return thetas, phis, np.concatenate([_conditional_entropy_bases(blocks, a).ravel() for a in axes])
 
 
+def _lowest(values: np.ndarray, n: int) -> np.ndarray:
+    """np.argsort(values, kind="stable")[:n] for 1 <= n <= values.size: the
+    indices of the n lowest values, ties in index order. Only the values at
+    or below the n-th lowest, found by np.partition, are sorted."""
+    pivot = np.partition(values, n - 1)[n - 1]
+    candidates = np.flatnonzero(values <= pivot)
+    return candidates[np.argsort(values[candidates], kind="stable")][:n]
+
+
 def min_conditional_entropy(rho: np.ndarray):
     """Grid + zoom minimization of the conditional entropy over bases.
 
@@ -143,8 +152,7 @@ def min_conditional_entropy(rho: np.ndarray):
     thetas, phis, values = _grid_values(blocks, COARSE_THETAS, COARSE_PHIS)
 
     starts = []
-    order = np.argsort(values, kind="stable")
-    for flat in order[: 8 * ZOOM_STARTS]:
+    for flat in _lowest(values, 8 * ZOOM_STARTS):
         i, j = divmod(int(flat), COARSE_PHIS)
         th, ph = float(thetas[i]), float(phis[j])
         # Skip starts adjacent to one already chosen.

@@ -23,7 +23,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,7 @@ from ddgrape.nmr import (
     SystemParams,
     check_unitary,
     load_pulse,
+    phase_frame_factors,
     pseudopure_state,
     rotation_bound,
     save_pulse,
@@ -455,30 +456,51 @@ class SweepRow:
     mean_fidelity_incoherent: float
 
 
+def _frame_key(job):
+    """Jobs with equal keys share their gate pulses' phase_frame_factors."""
+    gate_set, member = job
+    return id(gate_set), member.rf_scale, member.offset_shift
+
+
 def _gate_propagators(config: ExperimentConfig, jobs):
     """Yield each (gate_set, member) job's oracle and diffusion propagators as
     a (uw, ud) pair, in job order. A member's two propagations are queued next
     to each other and run on one pool of worker_count() threads, with at most
     2 * worker_count() of them submitted and not yet taken, so memory does not
-    grow with the job count. Each pair passes check_unitary as it is taken.
-    The pool is shut down, with the propagations not yet started cancelled,
-    when the generator ends, raises or is closed."""
+    grow with the job count. A run of two or more consecutive jobs with one
+    gate set, rf_scale and offset_shift first queues one phase_frame_factors
+    task per pulse, and each of the run's propagations takes the result as its
+    factors; a job alone in its run builds its own. Nothing outlives the call.
+    Each pair passes check_unitary as it is taken. The pool is shut down, with
+    the tasks not yet started cancelled, when the generator ends, raises or is
+    closed."""
     workers = worker_count()
-    calls = ((p, m) for g, m in jobs for p in (g.pulse_w, g.pulse_d))
     pool = ThreadPoolExecutor(max_workers=workers)
 
-    def submit(call):
-        return pool.submit(sequence_propagator, call[0], config.system, call[1])
+    def shared(pulse, member, frame):
+        # The frame task was queued ahead of this one, so a worker has it.
+        return sequence_propagator(pulse, config.system, member, frame.result())
 
-    def take():
-        u = window.popleft().result()
-        window.extend(map(submit, islice(calls, 1)))
-        return u
+    def submitted():
+        """(member, its two propagation futures) per job, submitted as taken."""
+        for _, run in groupby(jobs, _frame_key):
+            run = list(run)
+            g, m = run[0]
+            pulses = (g.pulse_w, g.pulse_d)
+            if len(run) == 1:
+                yield m, [pool.submit(sequence_propagator, p, config.system, m) for p in pulses]
+                continue
+            frames = [pool.submit(phase_frame_factors, p, config.system, m) for p in pulses]
+            for _, m in run:
+                yield m, [pool.submit(shared, p, m, f) for p, f in zip(pulses, frames)]
 
     try:
-        window = deque(map(submit, islice(calls, 2 * workers)))
-        for _, m in jobs:
-            uw, ud = take(), take()
+        calls = submitted()
+        window = deque(islice(calls, workers))
+        while window:
+            m, futures = window.popleft()
+            window.extend(islice(calls, 1))
+            uw, ud = (f.result() for f in futures)
             check_unitary(np.array([uw, ud]), (m, m))
             yield uw, ud
     finally:
@@ -490,13 +512,17 @@ def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
     averaged by NoiseEnsemble.mean over a noise grid, per scheme under each
     flip/phase error grid, without and with the incoherence ensemble. Each
     kind's two grids are built once and paired with every scheme. The
-    propagators of every member come from one _gate_propagators call; each
-    member is reduced as its pair arrives and its propagators are then
-    dropped."""
+    propagators of every member come from one _gate_propagators call, each
+    scheme's members ordered by (rf_scale, offset_shift) so that members
+    differing only in phase offset are neighbours and share their frames.
+    Each member is reduced to its iterate fidelity as its pair arrives, and
+    its propagators are then dropped; once a scheme is done, each cell is
+    averaged in member order."""
     errors, incoherence = config.error_ensembles(), config.incoherence_ensemble()
     grids = {kind: (e, e.combined_with(incoherence)) for kind, e in errors.items()}
-    keys = [(scheme, kind) for scheme in config.schemes for kind in errors]
-    jobs = [(gates[s], m) for s, k in keys for e in grids[k] for m in e.realizations]
+    members = [m for pair in grids.values() for e in pair for m in e.realizations]
+    order = sorted(range(len(members)), key=lambda i: (members[i].rf_scale, members[i].offset_shift))
+    jobs = ((gates[s], members[i]) for s in config.schemes for i in order)
     u_g = diffusion_unitary() @ oracle_unitary(config.marked)
     ideal_powers = [np.eye(4, dtype=complex)]
     for _ in range(config.iterations):
@@ -511,9 +537,12 @@ def robustness_sweep(config: ExperimentConfig, gates: dict[str, GateSet]):
 
     rows = []
     with closing(_gate_propagators(config, jobs)) as props:
-        for s, k in keys:
-            plain, combined = (
-                e.mean(iterate_fidelity(uw, ud) for uw, ud in islice(props, len(e.realizations))) for e in grids[k]
-            )
-            rows.append(SweepRow(s, k, plain, combined))
+        for s in config.schemes:
+            fidelities = [0.0] * len(members)
+            for i, (uw, ud) in zip(order, props):
+                fidelities[i] = iterate_fidelity(uw, ud)
+            cells = iter(fidelities)
+            for k in errors:
+                plain, combined = (e.mean(islice(cells, len(e.realizations))) for e in grids[k])
+                rows.append(SweepRow(s, k, plain, combined))
     return rows

@@ -8,7 +8,10 @@ keeps its parameters fixed for an entire multi-pulse run.
 Forward propagation (sequence_propagator, behind the robustness sweep and
 the Grover trajectories) works in each segment's control-phase frame: the
 diagonal H_S' commutes with F_z, so a segment is a z rotation of a real
-symmetric generator, and one real eigh of the segment stack serves it.
+symmetric generator, and one real eigh of the segment stack serves it
+(phase_frame_factors). That generator does not depend on the member's
+phase offset, so the sweep builds it once for all members that differ
+only in their phase offset.
 GRAPE (ddgrape.grape) keeps the complex eigenbasis of segment_hamiltonians:
 its Daleckii-Krein gradient needs that basis, and L-BFGS amplifies any
 change in the gradient's rounding into a different optimized pulse.
@@ -19,7 +22,7 @@ whole stack (_mul4), not numpy's batched matmul. matmul makes one BLAS call
 per 4 x 4 matrix, and two sweep-pool threads making those calls at once each
 ran 2.6-3.3x slower than one thread alone; _mul4's ufuncs make no BLAS call
 and release the GIL, so the pool scales (numbers in ordered_product and
-sequence_propagator, measured on a 2-vCPU x86-64 host, numpy 2.4,
+phase_frame_factors, measured on a 2-vCPU x86-64 host, numpy 2.4,
 OpenBLAS 0.3).
 """
 
@@ -245,8 +248,40 @@ def ordered_product(us: np.ndarray) -> np.ndarray:
     return us[..., 0]
 
 
-def sequence_propagator(
+def phase_frame_factors(
     pulse: PulseSequence, params: SystemParams, noise: NoiseRealization = IDENTITY_NOISE
+) -> np.ndarray:
+    """The middle factors exp(-i (H_S' + Omega_k F_x) dt) of
+    sequence_propagator, as one complex (4, 4, K) stack (segment index last).
+
+    The generator is real symmetric: one real eigh of the (K, 4, 4) stack
+    gives w and v, and the factor is v cos(w dt) v^T - i v sin(w dt) v^T:
+    two real _mul4 calls on v with the segment index last. On a
+    1470-segment stack they took 0.80 ms alone and 0.55 ms a call on two
+    threads at once; two real matmuls took 0.75 and 1.93 ms. One
+    complex-by-real _mul4 of v (cos - i sin) and v^T gives the same bits and
+    is slower (0.95 and 1.13 ms, against 0.81 and 1.00 ms in one run).
+
+    Omega_k = hypot(s omega_x, s omega_y) is taken from the unrotated
+    amplitudes, with s the member's rf_scale, so the factors depend on the
+    member only through rf_scale and offset_shift: members that differ only
+    in phase_offset share them.
+    """
+    hs = np.diag(system_hamiltonian(shifted_params(params, noise))).real
+    omega = np.hypot(noise.rf_scale * pulse.omega_x, noise.rf_scale * pulse.omega_y)
+    w, v = np.linalg.eigh(np.diag(hs) + omega[:, None, None] * FX.real)
+    v, wdt = np.ascontiguousarray(np.moveaxis(v, 0, -1)), w.T * pulse.dt
+    us = np.empty(v.shape, dtype=complex)
+    us.real = _mul4(v * np.cos(wdt), v.swapaxes(0, 1))
+    us.imag = _mul4(v * -np.sin(wdt), v.swapaxes(0, 1))
+    return us
+
+
+def sequence_propagator(
+    pulse: PulseSequence,
+    params: SystemParams,
+    noise: NoiseRealization = IDENTITY_NOISE,
+    factors: np.ndarray | None = None,
 ) -> np.ndarray:
     """Ordered product u_K ... u_2 u_1 (segment 1 acts first).
 
@@ -257,26 +292,18 @@ def sequence_propagator(
 
         u_k = R_z(theta_k) exp(-i (H_S' + Omega_k F_x) dt) R_z(theta_k)^dagger.
 
-    The middle generator is real symmetric: one real eigh of the (K, 4, 4)
-    stack gives w and v, and the middle factor is v cos(w dt) v^T -
-    i v sin(w dt) v^T: two real _mul4 calls on v with the segment index
-    last. On a 1470-segment stack they took 0.80 ms alone and 0.55 ms a
-    call on two threads at once; two real matmuls took 0.75 and 1.93 ms.
-    One complex-by-real _mul4 of v (cos - i sin) and v^T gives the same
-    bits and is slower (0.95 and 1.13 ms, against 0.81 and 1.00 ms in one
-    run). The rotation scales rows 0 and 3 by e^{-i theta_k}, e^{i theta_k}
-    and columns 0 and 3 by the conjugates. A zero-amplitude segment has no
-    phase and keeps e^{i theta_k} = 1. This agrees with exponentiating
-    segment_hamiltonians to round-off (~1e-13 on a 1470-segment product).
+    The middle factors are phase_frame_factors(pulse, params, noise); pass
+    them as `factors` to share them between members that differ only in
+    phase_offset. They are copied, never changed; when they are not given,
+    the ones built here are rotated in place. The rotation scales rows 0
+    and 3 by e^{-i theta_k}, e^{i theta_k} and columns 0 and 3 by the
+    conjugates. A zero-amplitude segment has no phase and keeps
+    e^{i theta_k} = 1. This agrees with exponentiating segment_hamiltonians
+    to round-off (~1e-13 on a 1470-segment product).
     """
-    hs = np.diag(system_hamiltonian(shifted_params(params, noise))).real
+    us = phase_frame_factors(pulse, params, noise) if factors is None else factors.copy()
     ox, oy = apply_noise_to_amplitudes(pulse.omega_x, pulse.omega_y, noise)
     omega = np.hypot(ox, oy)
-    w, v = np.linalg.eigh(np.diag(hs) + omega[:, None, None] * FX.real)
-    v, wdt = np.ascontiguousarray(np.moveaxis(v, 0, -1)), w.T * pulse.dt
-    us = np.empty(v.shape, dtype=complex)
-    us.real = _mul4(v * np.cos(wdt), v.swapaxes(0, 1))
-    us.imag = _mul4(v * -np.sin(wdt), v.swapaxes(0, 1))
     phase = np.divide(ox + 1j * oy, omega, out=np.ones(omega.shape, dtype=complex), where=omega > 0)
     us[0] *= phase.conj()
     us[3] *= phase

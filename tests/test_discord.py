@@ -6,10 +6,15 @@ import pytest
 from conftest import random_mixed_state, random_pure_state, random_unitary
 from ddgrape.core import SIGMA_X, SIGMA_Y, SIGMA_Z, von_neumann_entropy, partial_trace
 from ddgrape.discord import (
+    COARSE_PHIS,
+    COARSE_THETAS,
     LN2,
+    ZOOM_STARTS,
     MeasurementBasis,
     _bloch_axes,
     _conditional_entropy_bases,
+    _grid_values,
+    _lowest,
     _measurement_blocks,
     brute_force_min_conditional_entropy,
     check_epsilon,
@@ -289,6 +294,18 @@ def test_min_conditional_entropy_matches_the_reference_minimizer():
         assert abs(got - want) <= 1e-12
         # the reported basis attains the reported minimum
         assert abs(_reference_at(rho, basis.theta, basis.phi) - got) <= 1e-10
+
+
+def test_lowest_is_the_head_of_a_stable_argsort():
+    # The zoom starts come from _lowest: ties, flat grids and the coarse grids
+    # of the oracle states give the indices a full stable argsort gives.
+    rng = np.random.default_rng(3)
+    arrays = [rng.integers(0, 5, 200).astype(float), np.zeros(30), rng.normal(size=7381)]
+    for rho in _oracle_states():
+        arrays.append(_grid_values(_measurement_blocks(rho), COARSE_THETAS, COARSE_PHIS)[2])
+    for values in arrays:
+        for n in (1, 8 * ZOOM_STARTS, values.size):
+            assert np.array_equal(_lowest(values, n), np.argsort(values, kind="stable")[:n])
 
 
 def test_kernel_matches_the_reference_kernel_on_the_coarse_grid():

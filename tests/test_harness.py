@@ -3,9 +3,11 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -315,6 +317,57 @@ def test_sweep_rows_equal_the_cell_by_cell_sweep(toy_gates):
     assert _bits(robustness_sweep(cfg, gates)) == _bits(_sweep_one_cell_at_a_time(cfg, gates))
 
 
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_the_sweep_calls_the_propagator_once_per_member_and_pulse_and_shares_one_frame_per_key(
+    toy_gates, monkeypatch, threads
+):
+    # Members that share a pulse, an rf_scale and an offset_shift (phase
+    # members, and flip members at scale 1) share one phase_frame_factors
+    # result per pulse; a member alone with its key builds its own. Four
+    # workers on fewer cores, switching often, must leave every shared frame
+    # as it was built and give the rows of serial calls.
+    cfg, gates = toy_gates
+    monkeypatch.setenv("DDGRAPE_THREADS", threads)
+    calls, frames = [], []
+    propagator, factors = harness.sequence_propagator, harness.phase_frame_factors
+
+    def counted(pulse, system, member, shared=None):
+        calls.append((pulse, member, shared))
+        return propagator(pulse, system, member, shared)
+
+    def built(pulse, system, member):
+        frame = factors(pulse, system, member)
+        frames.append((pulse, member.rf_scale, member.offset_shift, frame, frame.copy()))
+        return frame
+
+    monkeypatch.setattr(harness, "sequence_propagator", counted)
+    monkeypatch.setattr(harness, "phase_frame_factors", built)
+    rows, interval = [], sys.getswitchinterval()
+    sweep = threading.Thread(target=lambda: rows.extend(robustness_sweep(cfg, gates)))
+    sys.setswitchinterval(1e-5)
+    try:
+        sweep.start()
+        sweep.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not sweep.is_alive()
+    monkeypatch.undo()
+    assert _bits(rows) == _bits(_sweep_one_cell_at_a_time(cfg, gates))
+
+    incoherence = cfg.incoherence_ensemble()
+    members = [m for e in cfg.error_ensembles().values() for g in (e, e.combined_with(incoherence)) for m in g.realizations]
+    keys = Counter((m.rf_scale, m.offset_shift) for m in members)
+    pulses = [p for s in cfg.schemes for p in (gates[s].pulse_w, gates[s].pulse_d)]
+    assert 0 < sum(n > 1 for n in keys.values()) < len(keys)
+    assert Counter((id(p), m) for p, m, _ in calls) == Counter((id(p), m) for p in pulses for m in members)
+    shared = {(id(p), k) for p in pulses for k, n in keys.items() if n > 1}
+    assert sorted((id(p), (r, o)) for p, r, o, _, _ in frames) == sorted(shared)
+    assert all(np.array_equal(frame, kept) for *_, frame, kept in frames)
+    frame_of = {(id(p), (r, o)): f for p, r, o, f, _ in frames}
+    for p, m, f in calls:
+        assert f is frame_of.get((id(p), (m.rf_scale, m.offset_shift)))
+
+
 def test_one_pool_per_sweep_and_per_trajectory(toy_gates, monkeypatch):
     cfg, gates = toy_gates
     pools = []
@@ -392,8 +445,8 @@ def test_a_nan_propagator_is_an_error_naming_the_first_such_member_in_job_order(
     nan_jobs = [(gates["none"].pulse_w, noise.realizations[2]), (gates["none"].pulse_d, noise.realizations[1])]
     propagator = harness.sequence_propagator
 
-    def with_nan(pulse, system, member):
-        u = propagator(pulse, system, member)
+    def with_nan(pulse, system, member, factors=None):
+        u = propagator(pulse, system, member, factors)
         if any(p is pulse and m == member for p, m in nan_jobs):
             u[3, 3] = np.nan
         return u

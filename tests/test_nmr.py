@@ -22,6 +22,7 @@ from ddgrape.nmr import (
     evolve_ensemble,
     load_pulse,
     ordered_product,
+    phase_frame_factors,
     pseudopure_state,
     rotation_bound,
     save_pulse,
@@ -184,6 +185,24 @@ def test_phase_error_is_a_collective_z_rotation_of_the_propagator():
     u_phi = sequence_propagator(pulse, params, NoiseRealization(phase_offset=phi, **base))
     r = np.exp(-1j * phi * np.array([1.0, 0.0, 0.0, -1.0]))
     assert np.max(np.abs(u_phi - r[:, None] * u0 * r.conj()[None, :])) <= 1e-13
+
+
+def test_members_differing_only_in_phase_share_their_frame_factors_bitwise():
+    # The frame factors depend on rf_scale and offset_shift, not on the phase
+    # offset, so one member's factors give every phase member's propagator
+    # with the same bits as its own, and sharing them leaves them unchanged.
+    params = SystemParams(436.0, -436.0, 70.0)
+    pulse = _dd_pulse_with_idle_segments()
+    members = [NoiseRealization(rf_scale=0.95, offset_shift=-6.5, phase_offset=p) for p in (0.0, 0.17, -0.17)]
+    for source in members:
+        shared = phase_frame_factors(pulse, params, source)
+        kept = shared.copy()
+        assert shared.shape == (4, 4, pulse.n_segments)
+        for member in members:
+            u = sequence_propagator(pulse, params, member, shared)
+            assert np.array_equal(u, sequence_propagator(pulse, params, member))
+        assert np.array_equal(shared, kept)
+        assert np.array_equal(shared, phase_frame_factors(pulse, params, members[0]))
 
 
 def _evolve(rho0, pulses, params, ensemble):
